@@ -23,7 +23,7 @@ from .noise import (
     single_flip_matrix,
     uniform_matrix,
 )
-from .model import Params, ce_loss, evaluate, forward, grad_step, init_params, ls_loss
+from .model import Params, evaluate, init_params
 from .strategies import (
     CoTeaching,
     LabelSmoothing,
@@ -34,8 +34,6 @@ from .strategies import (
     Vanilla,
     coteach_select,
     keep_fraction,
-    nmat_loss,
-    nmwr_loss,
 )
 from .trainer import RunRecord, TrainConfig, compare_val_policies, train
 from .diagnostics import LossSnapshot, RocCurve, histogram, roc, snapshot_losses
@@ -59,12 +57,8 @@ __all__ = [
     "single_flip_matrix",
     "uniform_matrix",
     "Params",
-    "ce_loss",
     "evaluate",
-    "forward",
-    "grad_step",
     "init_params",
-    "ls_loss",
     "CoTeaching",
     "LabelSmoothing",
     "NMat",
@@ -74,8 +68,6 @@ __all__ = [
     "Vanilla",
     "coteach_select",
     "keep_fraction",
-    "nmat_loss",
-    "nmwr_loss",
     "RunRecord",
     "TrainConfig",
     "compare_val_policies",

@@ -11,9 +11,9 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -43,37 +43,45 @@ _CONFIG_SCHEMA = {
     },
     "split": {"train", "val", "test", "seed"},
     "noise": {"type", "level", "seed", "matrix", "rules", "abstain_to_clean"},
-    "strategies": None,  # list, validated separately
-    "train": {
-        "lr",
-        "batch_size",
-        "max_epochs",
-        "eval_every",
-        "patience",
-        "seed",
-        "val_policy",
-        "convergence_tol",
-        "arch",
-        "hidden",
-    },
+    "strategies": None,  # each entry takes its strategy's fields
+    "train": None,  # TrainConfig's fields
     "trials": None,
     "output_dir": None,
 }
 
-_STRATEGY_KEYS = {
-    "vanilla": set(),
-    "no_validation": set(),
-    "nmat": {"matrix"},
-    "nmwr": {"lambda"},
-    "coteaching": {"eps", "ramp_epochs"},
-    "label_smoothing": {"alpha"},
-}
+# The parameter each noise type cannot do without.
+_NOISE_NEEDS = {"uniform": "level", "sflip": "level", "matrix": "matrix", "rules": "rules"}
+
+_STRATEGIES = {cls.name: cls for cls in typing.get_args(strat_mod.Strategy)}
 
 
 def _check_keys(block: dict, allowed, where: str) -> None:
     unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _from_config(cls, block, where: str, **resolved):
+    """Build the dataclass ``cls`` from a config block keyed by its field names.
+
+    Each value is converted to its field's declared type. ``resolved`` holds
+    fields the caller works out itself; the block may not set those.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    hints = typing.get_type_hints(cls)
+    types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    _check_keys(block, set(types) - set(resolved), where)
+    kwargs = dict(resolved)
+    for key, value in block.items():
+        tp = types[key]
+        try:
+            kwargs[key] = tp(value)
+            if isinstance(value, bool) or (tp is int and kwargs[key] != float(value)):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: {key} must be {tp.__name__}, got {value!r}") from None
+    return cls(**kwargs)
 
 
 def load_config(path) -> dict:
@@ -90,16 +98,20 @@ def load_config(path) -> dict:
         _check_keys(cfg["dataset"]["synth"], _CONFIG_SCHEMA["dataset"]["synth"], "dataset.synth")
     if "split" in cfg:
         _check_keys(cfg["split"], _CONFIG_SCHEMA["split"], "split")
-    if "noise" in cfg:
-        _check_keys(cfg["noise"], _CONFIG_SCHEMA["noise"], "noise")
-    _check_keys(cfg["train"], _CONFIG_SCHEMA["train"], "train")
+    noise = cfg.get("noise")
+    if not noise:
+        raise ConfigError("config needs a noise block")
+    _check_keys(noise, _CONFIG_SCHEMA["noise"], "noise")
+    needs = _NOISE_NEEDS.get(noise.get("type"))
+    if needs is None:
+        raise ConfigError(f"unknown noise type {noise.get('type')!r}")
+    if needs not in noise:
+        raise ConfigError(f"noise type {noise['type']} needs {needs}")
+    _from_config(trainer_mod.TrainConfig, cfg["train"], "train")
     if not isinstance(cfg["strategies"], list) or not cfg["strategies"]:
         raise ConfigError("strategies must be a non-empty list")
     for s in cfg["strategies"]:
-        name = s.get("name")
-        if name not in _STRATEGY_KEYS:
-            raise ConfigError(f"unknown strategy {name!r}")
-        _check_keys(set(s) - {"name"}, _STRATEGY_KEYS[name], f"strategy {name}")
+        _build_strategy(s, true_T=None, realized_fdr=0.0)
     if int(cfg.get("trials", 1)) < 1:
         raise ConfigError("trials must be >= 1")
     return cfg
@@ -130,21 +142,16 @@ def _build_dataset(cfg: dict):
 
 
 def _noise_matrix(noise_cfg: dict, k: int) -> noise_mod.TransitionMatrix:
-    ntype = noise_cfg.get("type")
-    if ntype == "uniform":
+    if noise_cfg["type"] == "uniform":
         return noise_mod.uniform_matrix(k, float(noise_cfg["level"]))
-    if ntype == "sflip":
+    if noise_cfg["type"] == "sflip":
         return noise_mod.single_flip_matrix(k, float(noise_cfg["level"]))
-    if ntype == "matrix":
-        return noise_mod.TransitionMatrix.load_csv(noise_cfg["matrix"])
-    raise ConfigError(f"unknown noise type {ntype!r}")
+    return noise_mod.TransitionMatrix.load_csv(noise_cfg["matrix"])
 
 
 def _apply_noise(splits, textual: bool, noise_cfg: dict, ds_cfg: dict):
     """Corrupt train and val; test stays clean. Returns (splits, true T, eps)."""
     train_ds, val_ds, test_ds = splits
-    if not noise_cfg:
-        raise ConfigError("config needs a noise block")
     seed = int(noise_cfg.get("seed", 0))
     if noise_cfg.get("type") == "rules":
         if not textual:
@@ -175,58 +182,46 @@ def _apply_noise(splits, textual: bool, noise_cfg: dict, ds_cfg: dict):
     return (train_ds, val_ds, test_ds), T, eps
 
 
-def _build_strategy(s_cfg: dict, true_T, realized_fdr: float):
-    name = s_cfg["name"]
-    if name == "vanilla":
-        return strat_mod.Vanilla()
-    if name == "no_validation":
-        return strat_mod.NoValidation()
-    if name == "label_smoothing":
-        return strat_mod.LabelSmoothing(alpha=float(s_cfg.get("alpha", 0.1)))
-    if name == "nmwr":
-        return strat_mod.NMwR(lam=float(s_cfg.get("lambda", 1e-3)))
-    if name == "nmat":
-        matrix = s_cfg.get("matrix", "true")
-        if matrix == "true":
-            T = true_T
-        else:
-            T = noise_mod.TransitionMatrix.load_csv(matrix)
-        return strat_mod.NMat(T=T)
-    if name == "coteaching":
-        eps = s_cfg.get("eps")
-        eps = realized_fdr if eps is None else float(eps)
-        return strat_mod.CoTeaching(eps=eps, ramp_epochs=int(s_cfg.get("ramp_epochs", 5)))
-    raise ConfigError(f"unknown strategy {name!r}")
+def _build_strategy(s_cfg, true_T, realized_fdr: float):
+    """A strategy from its config entry: ``name`` plus the class's fields.
+
+    NMat takes ``matrix`` (true: the generator matrix; else a CSV path) in
+    place of ``T``; CoTeaching's ``eps`` defaults to the realized FDR.
+    """
+    if not isinstance(s_cfg, dict):
+        raise ConfigError(f"strategy entry must be a mapping, got {s_cfg!r}")
+    block = dict(s_cfg)
+    name = block.pop("name", None)
+    if name not in _STRATEGIES:
+        raise ConfigError(f"unknown strategy {name!r}")
+    cls = _STRATEGIES[name]
+    resolved = {}
+    if cls is strat_mod.NMat:
+        matrix = block.pop("matrix", True)
+        use_true = matrix is True or matrix == "true"
+        resolved["T"] = true_T if use_true else noise_mod.TransitionMatrix.load_csv(matrix)
+    if cls is strat_mod.CoTeaching and "eps" not in block:
+        resolved["eps"] = realized_fdr
+    return _from_config(cls, block, f"strategy {name}", **resolved)
 
 
 def cmd_inject(args) -> int:
-    given = [f for f in ("level", "matrix", "rules") if getattr(args, f) is not None]
-    if args.type in ("uniform", "sflip") and (args.matrix or args.rules):
-        print("inject: --matrix/--rules conflict with parametric noise", file=sys.stderr)
-        return EXIT_USAGE
-    if args.type == "matrix" and (args.level is not None or args.rules or not args.matrix):
-        print("inject: --type matrix takes exactly --matrix", file=sys.stderr)
-        return EXIT_USAGE
-    if args.type == "rules" and (args.level is not None or args.matrix or not args.rules):
-        print("inject: --type rules takes exactly --rules", file=sys.stderr)
+    needs = _NOISE_NEEDS[args.type]
+    given = {f for f in ("level", "matrix", "rules") if getattr(args, f) is not None}
+    if given != {needs}:
+        print(f"inject: --type {args.type} takes exactly --{needs}", file=sys.stderr)
         return EXIT_USAGE
 
-    ds = data_mod.load_jsonl(args.input, args.k)
-    if ds.clean_labels is None:
-        print("inject: input has no clean_label field", file=sys.stderr)
-        return EXIT_FAILURE
     try:
+        ds = data_mod.load_jsonl(args.input, args.k)
+        if ds.clean_labels is None:
+            raise ConfigError("input has no clean_label field")
         if args.type == "rules":
             rules = noise_mod.RuleSet.load_jsonl(args.rules)
             out = noise_mod.inject_rules(ds, rules)
             T = noise_mod.matrix_from_pairs(out.clean_labels, out.noisy_labels, ds.k)
         else:
-            if args.type == "matrix":
-                T = noise_mod.TransitionMatrix.load_csv(args.matrix)
-            elif args.type == "uniform":
-                T = noise_mod.uniform_matrix(args.k, args.level)
-            else:
-                T = noise_mod.single_flip_matrix(args.k, args.level)
+            T = _noise_matrix(vars(args), args.k)
             noisy = noise_mod.inject(ds.clean_labels, T, args.seed)
             out = dataclasses.replace(ds, noisy_labels=noisy)
     except NoisyLabError as e:
@@ -244,8 +239,7 @@ def run_sweep(cfg: dict) -> int:
     splits, textual, ds_cfg = _build_dataset(cfg)
     splits, true_T, realized_fdr = _apply_noise(splits, textual, cfg.get("noise"), ds_cfg)
     train_ds, val_ds, test_ds = splits
-    tcfg_dict = dict(cfg["train"])
-    base_seed = int(tcfg_dict.pop("seed", 0))
+    base_cfg = _from_config(trainer_mod.TrainConfig, cfg["train"], "train")
     trials = int(cfg.get("trials", 1))
     out_root = Path(cfg["output_dir"])
     failures = 0
@@ -254,7 +248,7 @@ def run_sweep(cfg: dict) -> int:
         for trial in range(trials):
             run_dir = out_root / strategy.name / f"trial_{trial}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            tcfg = trainer_mod.TrainConfig(seed=base_seed + trial, **tcfg_dict)
+            tcfg = dataclasses.replace(base_cfg, seed=base_cfg.seed + trial)
             try:
                 record, best_p, final_p = trainer_mod.train(
                     train_ds, val_ds, test_ds, strategy, tcfg
@@ -291,7 +285,7 @@ def run_sweep(cfg: dict) -> int:
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-    except NoisyLabError as e:
+    except (NoisyLabError, OSError, yaml.YAMLError) as e:
         print(f"run: {e}", file=sys.stderr)
         return EXIT_USAGE
     return run_sweep(cfg)
@@ -382,26 +376,7 @@ def cmd_diagnose(args) -> int:
     if summary_path.exists():
         with open(summary_path, encoding="utf-8") as f:
             summary = json.load(f)
-        record = trainer_mod.RunRecord(
-            entries=[
-                trainer_mod.EvalEntry(
-                    step=summary["best_step"],
-                    train_loss=math.nan,
-                    val_acc=summary["best_val_acc"],
-                    test_acc=summary["best_test_acc"],
-                ),
-                trainer_mod.EvalEntry(
-                    step=summary["final_step"],
-                    train_loss=math.nan,
-                    val_acc=math.nan,
-                    test_acc=summary["final_test_acc"],
-                ),
-            ],
-            best_step=summary["best_step"],
-            final_step=summary["final_step"],
-        )
-        rows = diag_mod.separability_report([(summary["strategy"], record, snap)])
-        diag_mod.write_report_csv(rows, run_dir / "report.csv")
+        diag_mod.write_report_csv([dict(summary, auc=curve.auc)], run_dir / "report.csv")
     return EXIT_OK
 
 

@@ -94,29 +94,6 @@ def roc(snap: LossSnapshot) -> RocCurve:
     )
 
 
-def separability_report(runs) -> list[dict]:
-    """One row per strategy: AUC plus best/final accuracies, sorted by name.
-
-    ``runs`` is a sequence of (strategy name, RunRecord, LossSnapshot).
-    """
-    n_examples = {len(snap.losses) for _, _, snap in runs}
-    if len(n_examples) > 1:
-        raise ConfigError("snapshots come from differently sized datasets")
-    rows = []
-    for name, record, snap in sorted(runs, key=lambda r: r[0]):
-        best = record.best_entry
-        rows.append(
-            {
-                "strategy": name,
-                "auc": roc(snap).auc,
-                "best_val_acc": best.val_acc,
-                "best_test_acc": best.test_acc,
-                "final_test_acc": record.final_entry.test_acc,
-            }
-        )
-    return rows
-
-
 def write_histogram_csv(snap: LossSnapshot, path, bins: int = 50) -> None:
     edges, correct, wrong = histogram(snap, bins)
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -32,6 +32,3 @@ class NumericError(NoisyLabError):
 class DegenerateClassError(NoisyLabError):
     pass
 
-
-class ArtifactError(NoisyLabError):
-    pass

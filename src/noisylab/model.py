@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset, feature_matrix
-from .errors import ConfigError, DomainError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 PROB_CLAMP = 1e-12
 INIT_SCALE = 0.05
@@ -114,41 +114,6 @@ def predict_probs(p: Params, ds: Dataset) -> np.ndarray:
     return probs
 
 
-def forward(p: Params, x) -> np.ndarray:
-    """Probability vector for a single sparse vector (dict or dense array)."""
-    if isinstance(x, dict):
-        row = np.zeros(p.dims)
-        for i, w in x.items():
-            if i >= p.dims:
-                raise ShapeError(f"feature index {i} >= dims {p.dims}")
-            row[i] = w
-    else:
-        row = np.asarray(x, dtype=np.float64)
-        if row.shape != (p.dims,):
-            raise ShapeError(f"input shape {row.shape} != ({p.dims},)")
-    probs, _ = _forward_batch(p, sp.csr_matrix(row.reshape(1, -1)))
-    return probs[0]
-
-
-def ce_loss(probs: np.ndarray, label: int) -> float:
-    """Cross-entropy -log p[label], probabilities clamped at 1e-12."""
-    if not 0 <= label < len(probs):
-        raise DomainError(f"label {label} out of range for k={len(probs)}")
-    return float(-np.log(max(float(probs[label]), PROB_CLAMP)))
-
-
-def ls_loss(probs: np.ndarray, label: int, alpha: float) -> float:
-    """Cross-entropy against a one-hot target mixed with uniform mass alpha."""
-    if not 0 <= alpha < 1:
-        raise ConfigError(f"alpha must be in [0,1), got {alpha}")
-    if not 0 <= label < len(probs):
-        raise DomainError(f"label {label} out of range for k={len(probs)}")
-    k = len(probs)
-    target = np.full(k, alpha / k)
-    target[label] += 1.0 - alpha
-    return float(-(target * np.log(np.maximum(probs, PROB_CLAMP))).sum())
-
-
 class CrossEntropy:
     """Plain CE against the (noisy) training label."""
 
@@ -211,10 +176,6 @@ def step(p: Params, batch: Batch, lr: float, loss_fn=None) -> tuple[Params, floa
     if hasattr(loss_fn, "sgd_update"):
         loss_fn.sgd_update(lr)
     return new_p, float(np.mean(losses))
-
-
-def grad_step(p: Params, batch: Batch, lr: float, loss_fn=None) -> Params:
-    return step(p, batch, lr, loss_fn)[0]
 
 
 def evaluate(p: Params, ds: Dataset, use: str = "clean") -> float:

@@ -125,6 +125,8 @@ def matrix_from_pairs(clean, noisy, k: int) -> TransitionMatrix:
         raise ShapeError(
             f"need equal-length nonempty sequences, got {clean.shape} and {noisy.shape}"
         )
+    if min(clean.min(), noisy.min()) < 0 or max(clean.max(), noisy.max()) >= k:
+        raise DomainError(f"label out of range for k={k}")
     counts = np.zeros((k, k))
     np.add.at(counts, (clean, noisy), 1.0)
     totals = counts.sum(axis=1)
@@ -144,6 +146,8 @@ def inject(labels, T: TransitionMatrix, seed: int) -> np.ndarray:
     if len(labels) and (labels.min() < 0 or labels.max() >= T.k):
         raise DomainError("label out of range for transition matrix")
     cum = np.cumsum(T.rows, axis=1)
+    # rows may sum to 1 within ROW_SUM_TOL; a draw must never land past the last
+    cum[:, -1] = 1.0
     draws = np.random.default_rng(seed).random(len(labels))
     return (draws[:, None] >= cum[labels]).sum(axis=1).astype(np.int64)
 

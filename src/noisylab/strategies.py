@@ -1,10 +1,11 @@
 """The six noise-handling training baselines as pluggable strategies.
 
-Vanilla and NoValidation train on plain CE; NMat composes the model's output
-with a fixed transition matrix before the CE; NMwR learns an unconstrained
-matrix jointly with the classifier under an L2 penalty; CoTeaching cross-
-selects small-loss samples between two networks; LabelSmoothing mixes the
-one-hot target with a uniform vector.
+Each strategy builds its own loss functional with ``loss(k)``. Vanilla and
+NoValidation train on plain CE; NMat composes the model's output with a fixed
+transition matrix before the CE; NMwR learns an unconstrained matrix jointly
+with the classifier under an L2 penalty; CoTeaching cross-selects small-loss
+samples between two networks; LabelSmoothing mixes the one-hot target with a
+uniform vector.
 """
 
 from __future__ import annotations
@@ -23,10 +24,16 @@ from .noise import TransitionMatrix
 class Vanilla:
     name = "vanilla"
 
+    def loss(self, k: int):
+        return CrossEntropy()
+
 
 @dataclass(frozen=True)
 class NoValidation:
     name = "no_validation"
+
+    def loss(self, k: int):
+        return CrossEntropy()
 
 
 @dataclass(frozen=True)
@@ -34,15 +41,25 @@ class NMat:
     T: TransitionMatrix
     name = "nmat"
 
+    def loss(self, k: int):
+        if self.T.k != k:
+            raise ShapeError(
+                f"noise matrix is {self.T.k}x{self.T.k} but the data has k={k}"
+            )
+        return NMatCorrectedCE(self.T)
+
 
 @dataclass(frozen=True)
 class NMwR:
-    lam: float
+    lam: float = 1e-3
     name = "nmwr"
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ConfigError(f"lambda must be non-negative, got {self.lam}")
+            raise ConfigError(f"lam must be non-negative, got {self.lam}")
+
+    def loss(self, k: int):
+        return NMwRTrainableLoss(k, self.lam)
 
 
 @dataclass(frozen=True)
@@ -57,6 +74,9 @@ class CoTeaching:
         if self.ramp_epochs < 1:
             raise ConfigError("ramp_epochs must be positive")
 
+    def loss(self, k: int):
+        return CrossEntropy()
+
 
 @dataclass(frozen=True)
 class LabelSmoothing:
@@ -67,46 +87,11 @@ class LabelSmoothing:
         if not 0 <= self.alpha < 1:
             raise ConfigError(f"alpha must be in [0,1), got {self.alpha}")
 
+    def loss(self, k: int):
+        return SmoothedCrossEntropy(self.alpha)
+
 
 Strategy = Vanilla | NoValidation | NMat | NMwR | CoTeaching | LabelSmoothing
-
-
-def nmat_loss(probs: np.ndarray, T: TransitionMatrix, noisy_label: int) -> float:
-    """CE against the noisy label after pushing probs through the fixed matrix."""
-    probs = np.asarray(probs)
-    if probs.shape != (T.k,):
-        raise ShapeError(f"probs shape {probs.shape} does not match k={T.k}")
-    q = probs @ T.rows
-    return float(-np.log(max(float(q[noisy_label]), PROB_CLAMP)))
-
-
-def nmwr_loss(probs: np.ndarray, M: np.ndarray, noisy_label: int, lam: float):
-    """Loss and gradients for the learned-matrix head.
-
-    u = probs @ M is clamped elementwise at 1e-12 and renormalized to a
-    distribution before the CE; the regularizer is lam * ||M||_F^2.
-    Returns (loss, grad wrt probs, grad wrt M).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    M = np.asarray(M, dtype=np.float64)
-    k = len(probs)
-    if M.shape != (k, k):
-        raise ShapeError(f"M shape {M.shape} does not match k={k}")
-    u = probs @ M
-    if np.all(u < PROB_CLAMP):
-        raise NumericError("every entry of the noisy head output is below the clamp")
-    uc = np.maximum(u, PROB_CLAMP)
-    s = uc.sum()
-    q = uc / s
-    loss = float(-np.log(max(float(q[noisy_label]), PROB_CLAMP))) + lam * float(
-        (M * M).sum()
-    )
-    active = (u >= PROB_CLAMP).astype(np.float64)
-    du = active / s
-    du[noisy_label] -= active[noisy_label] / uc[noisy_label]
-    grad_probs = M @ du
-    grad_M = np.outer(probs, du) + 2.0 * lam * M
-    return loss, grad_probs, grad_M
 
 
 class NMatCorrectedCE:
@@ -195,15 +180,3 @@ def coteach_select(losses_a, losses_b, frac: float):
     idx_for_b = np.sort(np.argsort(losses_a, kind="stable")[:m])
     return idx_for_a, idx_for_b
 
-
-def make_loss(strategy: Strategy):
-    """Loss functional for a single-network strategy."""
-    if isinstance(strategy, (Vanilla, NoValidation)):
-        return CrossEntropy()
-    if isinstance(strategy, LabelSmoothing):
-        return SmoothedCrossEntropy(strategy.alpha)
-    if isinstance(strategy, NMat):
-        return NMatCorrectedCE(strategy.T)
-    if isinstance(strategy, NMwR):
-        raise ConfigError("NMwR loss needs k; use NMwRTrainableLoss directly")
-    raise ConfigError(f"no single-network loss for strategy {strategy!r}")

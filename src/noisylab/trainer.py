@@ -17,17 +17,8 @@ import numpy as np
 
 from .data import Dataset, feature_matrix
 from .errors import ConfigError
-from .model import Batch, CrossEntropy, Params, init_params, step
-from .strategies import (
-    CoTeaching,
-    NMwR,
-    NMwRTrainableLoss,
-    NoValidation,
-    Strategy,
-    coteach_select,
-    keep_fraction,
-    make_loss,
-)
+from .model import Batch, Params, _forward_batch, init_params, step
+from .strategies import CoTeaching, NoValidation, Strategy, coteach_select, keep_fraction
 
 
 @dataclass(frozen=True)
@@ -94,8 +85,6 @@ class RunRecord:
 
 
 def _accuracy(params: Params, X, labels) -> float:
-    from .model import _forward_batch
-
     probs, _ = _forward_batch(params, X)
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
@@ -134,16 +123,12 @@ def train(
     no_validation = isinstance(strategy, NoValidation)
     coteach = isinstance(strategy, CoTeaching)
 
+    loss_fn = strategy.loss(k)
     params = init_params(train_ds.dims, k, cfg.seed, arch=cfg.arch, hidden=cfg.hidden)
     if coteach:
         params_b = init_params(
             train_ds.dims, k, cfg.seed + 1, arch=cfg.arch, hidden=cfg.hidden
         )
-        loss_fn = CrossEntropy()
-    elif isinstance(strategy, NMwR):
-        loss_fn = NMwRTrainableLoss(k, strategy.lam)
-    else:
-        loss_fn = make_loss(strategy)
 
     record = RunRecord()
     best_acc = -1.0
@@ -180,13 +165,10 @@ def train(
             X = Xtr[idx]
             y = ytr[idx]
             if coteach:
-                from .model import _forward_batch
-
                 probs_a, _ = _forward_batch(params, X)
                 probs_b, _ = _forward_batch(params_b, X)
-                ce = CrossEntropy()
-                la, _ = ce.per_sample(probs_a, y)
-                lb, _ = ce.per_sample(probs_b, y)
+                la, _ = loss_fn.per_sample(probs_a, y)
+                lb, _ = loss_fn.per_sample(probs_b, y)
                 sel_a, sel_b = coteach_select(la, lb, frac)
                 params, _ = step(params, Batch(X[sel_a], y[sel_a]), cfg.lr, loss_fn)
                 params_b, _ = step(params_b, Batch(X[sel_b], y[sel_b]), cfg.lr, loss_fn)

@@ -61,6 +61,24 @@ def mann_whitney_auc(losses, is_wrong):
     return total / (len(wrong) * len(correct))
 
 
+def dense_probs(p, features):
+    """Independent single-example forward pass: a dense numpy row through the
+    weights, then a max-shifted softmax."""
+    row = np.zeros(p.dims)
+    for i, v in features.items():
+        row[i] = v
+    z = row @ p.w1 + p.b1
+    if p.arch == "mlp":
+        z = np.tanh(z) @ p.w2 + p.b2
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def row_loss(loss_fn, probs, label):
+    """Per-sample loss of one example under a vectorized loss functional."""
+    return float(loss_fn.per_sample(np.asarray(probs)[None, :], np.array([label]))[0][0])
+
+
 @pytest.fixture
 def small_noisy_splits():
     """Small featurized train/val/test with 40% uniform noise on train+val."""

@@ -152,19 +152,22 @@ def test_criterion_3_gradient_correctness():
             _, g = fn.per_sample(softmax(z), y)
             num = _dlogits_fd(fn, z, y)
             worst = max(worst, np.linalg.norm(g[0] - num) / max(np.linalg.norm(num), 1e-12))
-        # NMwR gradient w.r.t. the learned matrix
-        probs = softmax(z)[0]
-        _, _, g_M = nl.nmwr_loss(probs, nmwr.M, int(y[0]), 0.01)
-        num_M = np.zeros_like(nmwr.M)
+        # NMwR gradient w.r.t. the learned matrix: per_sample leaves it in _dM
+        nmwr.per_sample(softmax(z), y)
+        g_M = nmwr._dM
+        M = nmwr.M
+        num_M = np.zeros_like(M)
         h = 1e-6
+
+        def loss_at(M_pert):
+            nmwr.M = M_pert
+            return nmwr.per_sample(softmax(z), y)[0][0]
+
         for i in range(k):
             for j in range(k):
-                up = nmwr.M.copy(); up[i, j] += h
-                dn = nmwr.M.copy(); dn[i, j] -= h
-                num_M[i, j] = (
-                    nl.nmwr_loss(probs, up, int(y[0]), 0.01)[0]
-                    - nl.nmwr_loss(probs, dn, int(y[0]), 0.01)[0]
-                ) / (2 * h)
+                up = M.copy(); up[i, j] += h
+                dn = M.copy(); dn[i, j] -= h
+                num_M[i, j] = (loss_at(up) - loss_at(dn)) / (2 * h)
         worst = max(worst, np.linalg.norm(g_M - num_M) / max(np.linalg.norm(num_M), 1e-12))
     ok = worst < 1e-5
     check(3, ok, f"worst relative gradient error {worst:.2e} < 1e-5")

@@ -1,4 +1,10 @@
+import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +46,15 @@ def _write_config(tmp_path, cfg, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+def _cli(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    src = str(Path(nl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "noisylab.cli", *argv], capture_output=True, text=True, env=env
+    )
 
 
 class TestInject:
@@ -89,6 +104,28 @@ class TestInject:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("ntype", ["uniform", "sflip"])
+    def test_parametric_without_level_usage_error(self, tmp_path, capsys, ntype):
+        src = tmp_path / "clean.jsonl"
+        _write_clean_jsonl(src, n=10)
+        code = main(
+            ["inject", "--input", str(src), "--output", str(tmp_path / "o.jsonl"),
+             "--k", "4", "--type", ntype]
+        )
+        assert code == 2
+        assert "--level" in capsys.readouterr().err
+
+    def test_malformed_jsonl_one_line_failure(self, tmp_path, capsys):
+        src = tmp_path / "clean.jsonl"
+        src.write_text('{"id": "0", "text": "a b", "clean_label": 1}\n{not json\n')
+        code = main(
+            ["inject", "--input", str(src), "--output", str(tmp_path / "o.jsonl"),
+             "--k", "4", "--type", "uniform", "--level", "0.4"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("inject:")
+
 
 class TestRun:
     def test_artifacts_per_strategy_trial(self, tmp_path):
@@ -119,6 +156,60 @@ class TestRun:
         cfg["train"]["learning_rate"] = 0.1  # typo for lr
         cfg_path = _write_config(tmp_path, cfg)
         assert main(["run", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, code",
+        [
+            (lambda c: c["noise"].pop("level"), 2),
+            (lambda c: c["train"].update(batch_size=0), 2),
+            (lambda c: c["strategies"].append({"name": "label_smoothing", "alpha": 1.5}), 2),
+            (lambda c: c["strategies"].append({"name": "nmwr", "lambda": 1e-4}), 2),
+            (lambda c: c["strategies"].append({"name": "nmat", "matrix": "missing.csv"}), 2),
+            (lambda c: c["train"].update(lr="5e-1"), 0),  # how PyYAML reads `lr: 5e-1`
+        ],
+        ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
+             "missing_matrix_csv", "lr_5e-1"],
+    )
+    def test_config_exit_code_without_traceback(self, tmp_path, edit, code):
+        cfg = _small_config(tmp_path, trials=1)
+        edit(cfg)
+        proc = _cli("run", str(_write_config(tmp_path, cfg)))
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_accepted_keys_are_dataclass_fields(self, tmp_path):
+        cfg = _small_config(tmp_path)
+        cfg["train"] = dataclasses.asdict(nl.TrainConfig())
+        cfg["strategies"] = [
+            {"name": "vanilla"},
+            {"name": "no_validation"},
+            {"name": "nmat", "matrix": True},
+            {"name": "nmwr", "lam": 1e-4},
+            {"name": "nmwr"},
+            {"name": "coteaching", "eps": 0.3, "ramp_epochs": 2},
+            {"name": "label_smoothing", "alpha": 0.1},
+        ]
+        load_config(_write_config(tmp_path, cfg))
+
+    def test_nmat_matrix_size_mismatch_fails_run(self, tmp_path, capsys):
+        T3 = tmp_path / "T3.csv"
+        nl.uniform_matrix(3, 0.2).save_csv(T3)
+        cfg = _small_config(tmp_path, trials=1)
+        cfg["dataset"]["synth"]["k"] = 4
+        cfg["strategies"] = [{"name": "nmat", "matrix": str(T3)}]
+        assert main(["run", str(_write_config(tmp_path, cfg))]) == 1
+        marker = tmp_path / "out" / "nmat" / "trial_0" / "FAILED"
+        assert "k=4" in marker.read_text()
+        assert "nmat/trial_0 failed" in capsys.readouterr().err
+
+    def test_readme_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = yaml.safe_load(re.search(r"```yaml\n(.*?)```", readme, re.S).group(1))
+        cfg["dataset"]["synth"]["n"] = 400
+        cfg["train"]["max_epochs"] = 3
+        cfg["trials"] = 1
+        cfg["output_dir"] = str(tmp_path / "out")
+        assert main(["run", str(_write_config(tmp_path, cfg))]) == 0
 
     def test_unknown_strategy_rejected(self, tmp_path):
         cfg = _small_config(tmp_path)
@@ -201,6 +292,13 @@ class TestDiagnose:
         assert (run_dir / "report.csv").exists()
         first_data_row = (run_dir / "roc.csv").read_text().splitlines()[1]
         assert first_data_row == "inf,0,0"
+        summary = json.loads((run_dir / "summary.json").read_text())
+        header, row = (run_dir / "report.csv").read_text().splitlines()
+        assert header == "strategy,auc,best_val_acc,best_test_acc,final_test_acc"
+        assert row == ",".join(
+            ["vanilla"]
+            + [f"{summary[k]:.6f}" for k in ("auc", "best_val_acc", "best_test_acc", "final_test_acc")]
+        )
 
     def test_auc_matches_roc_csv_recomputation(self, tmp_path):
         run_dir = self._completed_run(tmp_path)

@@ -6,17 +6,19 @@ import pytest
 import scipy.sparse as sp
 
 import noisylab as nl
-from noisylab.errors import ConfigError, DomainError, NumericError, ShapeError
+from noisylab.errors import ConfigError, NumericError, ShapeError
 from noisylab.model import (
     Batch,
     CrossEntropy,
     Params,
     SmoothedCrossEntropy,
+    _forward_batch,
     load_checkpoint,
     save_checkpoint,
     softmax,
     step,
 )
+from conftest import dense_probs, row_loss
 
 
 def _random_batch(rng, n, dims, k):
@@ -26,8 +28,6 @@ def _random_batch(rng, n, dims, k):
 
 
 def _batch_loss(p, batch, loss_fn):
-    from noisylab.model import _forward_batch
-
     probs, _ = _forward_batch(p, batch.X)
     losses, _ = loss_fn.per_sample(probs, batch.labels)
     return float(np.mean(losses))
@@ -43,7 +43,7 @@ def _flatten(p):
 def fd_gradcheck(p, batch, loss_fn, h=1e-6, rel_tol=1e-5):
     """Analytic parameter gradient (recovered from a unit SGD step) vs central
     finite differences of the mean batch loss."""
-    new_p = nl.grad_step(p, batch, lr=1.0, loss_fn=loss_fn)
+    new_p, _ = step(p, batch, lr=1.0, loss_fn=loss_fn)
     for name, arr in _flatten(p):
         analytic = arr - getattr(new_p, name)
         numeric = np.zeros_like(arr)
@@ -60,15 +60,24 @@ def fd_gradcheck(p, batch, loss_fn, h=1e-6, rel_tol=1e-5):
         assert np.linalg.norm(analytic - numeric) / denom < rel_tol, name
 
 
+def _probs(p, x):
+    """Forward pass on a one-row batch; x is a feature dict or a dense row."""
+    if isinstance(x, dict):
+        X = sp.csr_matrix((list(x.values()), ([0] * len(x), list(x))), shape=(1, p.dims))
+    else:
+        X = sp.csr_matrix(np.asarray(x, dtype=np.float64).reshape(1, -1))
+    return _forward_batch(p, X)[0][0]
+
+
 class TestForward:
     def test_zero_weights_uniform(self):
         p = Params(arch="linear", dims=4, k=3, w1=np.zeros((4, 3)), b1=np.zeros(3))
-        probs = nl.forward(p, {0: 1.0})
+        probs = _probs(p, {0: 1.0})
         assert np.allclose(probs, 1 / 3)
 
     def test_large_logits_no_overflow(self):
         p = Params(arch="linear", dims=1, k=2, w1=np.zeros((1, 2)), b1=np.array([1000.0, 0.0]))
-        probs = nl.forward(p, {0: 1.0})
+        probs = _probs(p, {0: 1.0})
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
         assert probs[1] == pytest.approx(0.0, abs=1e-300)
@@ -77,14 +86,14 @@ class TestForward:
         rng = np.random.default_rng(0)
         p = nl.init_params(8, 5, seed=1)
         for _ in range(10):
-            probs = nl.forward(p, rng.random(8))
+            probs = _probs(p, rng.random(8))
             assert abs(probs.sum() - 1.0) < 1e-9
             assert np.all(probs > 0)
 
     def test_dim_mismatch(self):
         p = nl.init_params(8, 3, seed=1)
         with pytest.raises(ShapeError):
-            nl.forward(p, np.ones(5))
+            _probs(p, np.ones(5))
 
     def test_class_permutation_equivariance(self):
         rng = np.random.default_rng(3)
@@ -92,53 +101,49 @@ class TestForward:
         perm = rng.permutation(4)
         pp = dataclasses.replace(p, w1=p.w1[:, perm], b1=p.b1[perm])
         x = rng.random(6)
-        assert np.allclose(nl.forward(pp, x), nl.forward(p, x)[perm], atol=1e-12)
+        assert np.allclose(_probs(pp, x), _probs(p, x)[perm], atol=1e-12)
 
 
 class TestCeLoss:
     def test_one_hot_zero(self):
         probs = np.array([0.0, 1.0, 0.0])
-        assert nl.ce_loss(probs, 1) == 0.0
+        assert row_loss(CrossEntropy(), probs, 1) == 0.0
 
     def test_uniform_ln_k(self):
         k = 5
-        assert nl.ce_loss(np.full(k, 1 / k), 2) == pytest.approx(math.log(k))
+        assert row_loss(CrossEntropy(), np.full(k, 1 / k), 2) == pytest.approx(math.log(k))
 
     def test_clamp(self):
         probs = np.array([1e-20, 1.0 - 1e-20])
-        assert nl.ce_loss(probs, 0) == pytest.approx(-math.log(1e-12))
-
-    def test_label_out_of_range(self):
-        with pytest.raises(DomainError):
-            nl.ce_loss(np.array([0.5, 0.5]), 2)
+        assert row_loss(CrossEntropy(), probs, 0) == pytest.approx(-math.log(1e-12))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             probs = softmax(rng.normal(size=(1, 4)) * 5)[0]
-            assert nl.ce_loss(probs, int(rng.integers(0, 4))) >= 0.0
+            assert row_loss(CrossEntropy(), probs, int(rng.integers(0, 4))) >= 0.0
 
 
 class TestLsLoss:
     def test_alpha_zero_equals_ce(self):
         rng = np.random.default_rng(5)
         probs = softmax(rng.normal(size=(1, 4)))[0]
-        assert nl.ls_loss(probs, 2, 0.0) == nl.ce_loss(probs, 2)
+        assert row_loss(SmoothedCrossEntropy(0.0), probs, 2) == row_loss(CrossEntropy(), probs, 2)
 
     def test_uniform_probs_ln_k(self):
         k = 4
         probs = np.full(k, 1 / k)
         for alpha in (0.0, 0.1, 0.5):
-            assert nl.ls_loss(probs, 1, alpha) == pytest.approx(math.log(k))
+            assert row_loss(SmoothedCrossEntropy(alpha), probs, 1) == pytest.approx(math.log(k))
 
     def test_hand_arithmetic(self):
         probs = np.array([0.8, 0.2])
         expected = -(0.9 * math.log(0.8) + 0.1 * math.log(0.2))
-        assert nl.ls_loss(probs, 0, 0.2) == pytest.approx(expected, rel=1e-12)
+        assert row_loss(SmoothedCrossEntropy(0.2), probs, 0) == pytest.approx(expected, rel=1e-12)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
-            nl.ls_loss(np.array([0.5, 0.5]), 0, 1.0)
+            SmoothedCrossEntropy(1.0)
 
 
 class TestGradStep:
@@ -146,7 +151,7 @@ class TestGradStep:
         rng = np.random.default_rng(6)
         p = nl.init_params(5, 3, seed=7)
         batch = _random_batch(rng, 4, 5, 3)
-        q = nl.grad_step(p, batch, lr=0.0)
+        q, _ = step(p, batch, lr=0.0)
         assert np.array_equal(q.w1, p.w1) and np.array_equal(q.b1, p.b1)
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
@@ -178,7 +183,7 @@ class TestGradStep:
         p = Params(arch="linear", dims=2, k=2, w1=np.full((2, 2), 1e308), b1=np.zeros(2))
         X = sp.csr_matrix(np.array([[1e308, 0.0]]))
         with pytest.raises(NumericError):
-            nl.grad_step(p, Batch(X, np.array([0])), lr=0.1)
+            step(p, Batch(X, np.array([0])), lr=0.1)
 
 
 class TestEvaluate:
@@ -205,7 +210,7 @@ class TestEvaluate:
         p = nl.init_params(128, 3, seed=17)
         correct = 0
         for ex, y in zip(ds.examples, ds.clean_labels):
-            probs = nl.forward(p, ex.features)
+            probs = dense_probs(p, ex.features)
             if int(np.argmax(probs)) == y:
                 correct += 1
         assert nl.evaluate(p, ds, "clean") == correct / len(ds)

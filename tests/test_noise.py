@@ -80,6 +80,11 @@ class TestMatrixFromPairs:
         with pytest.raises(ShapeError):
             nl.matrix_from_pairs([0, 1], [0], k=2)
 
+    @pytest.mark.parametrize("clean, noisy", [([0, 2], [0, 1]), ([0, 1], [0, -1])])
+    def test_label_out_of_range(self, clean, noisy):
+        with pytest.raises(DomainError):
+            nl.matrix_from_pairs(clean, noisy, k=2)
+
 
 class TestInject:
     def test_identity_is_noop(self):
@@ -97,6 +102,21 @@ class TestInject:
         labels = np.arange(100) % 3
         T = nl.uniform_matrix(3, 0.5)
         assert np.array_equal(nl.inject(labels, T, 9), nl.inject(labels, T, 9))
+
+    def test_row_short_of_one_stays_in_range(self, monkeypatch):
+        # a row summing to 1 - 5e-10 is within the tolerance; a draw above its
+        # cumulative sum must still land on the last class, not on k
+        T = nl.TransitionMatrix(k=2, rows=np.array([[0.5, 0.5 - 5e-10], [0.0, 1.0]]))
+
+        class HighDraws:
+            def __init__(self, seed):
+                pass
+
+            def random(self, n):
+                return np.full(n, 1.0 - 1e-10)
+
+        monkeypatch.setattr(np.random, "default_rng", HighDraws)
+        assert list(nl.inject([0, 1], T, seed=0)) == [1, 1]
 
 
 class TestInjectRules:

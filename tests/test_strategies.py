@@ -5,12 +5,19 @@ import pytest
 
 import noisylab as nl
 from noisylab.errors import DomainError, ShapeError
-from noisylab.model import softmax
+from noisylab.model import CrossEntropy, softmax
 from noisylab.strategies import NMatCorrectedCE, NMwRTrainableLoss
+from conftest import row_loss
 
 
 def _rand_probs(rng, k):
     return softmax(rng.normal(size=(1, k)) * 2)[0]
+
+
+def _nmwr(M, lam):
+    fn = NMwRTrainableLoss(k=len(M), lam=lam)
+    fn.M = M
+    return fn
 
 
 class TestNmatLoss:
@@ -20,23 +27,23 @@ class TestNmatLoss:
         for _ in range(20):
             probs = _rand_probs(rng, 3)
             y = int(rng.integers(0, 3))
-            assert nl.nmat_loss(probs, T, y) == nl.ce_loss(probs, y)
+            assert row_loss(NMatCorrectedCE(T), probs, y) == row_loss(CrossEntropy(), probs, y)
 
     def test_one_hot_probs_select_row(self):
         T = nl.uniform_matrix(4, 0.6)
         probs = np.array([0.0, 0.0, 1.0, 0.0])
         q = probs @ T.rows
         assert np.allclose(q, T.rows[2])
-        assert nl.nmat_loss(probs, T, 1) == pytest.approx(-math.log(T.rows[2, 1]))
+        assert row_loss(NMatCorrectedCE(T), probs, 1) == pytest.approx(-math.log(T.rows[2, 1]))
 
     def test_hand_arithmetic(self):
         T = nl.TransitionMatrix(k=2, rows=np.array([[0.6, 0.4], [0.4, 0.6]]))
         probs = np.array([0.7, 0.3])
-        assert nl.nmat_loss(probs, T, 0) == pytest.approx(-math.log(0.54), rel=1e-12)
+        assert row_loss(NMatCorrectedCE(T), probs, 0) == pytest.approx(-math.log(0.54), rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            nl.nmat_loss(np.array([0.5, 0.5]), nl.uniform_matrix(3, 0.1), 0)
+            nl.NMat(T=nl.uniform_matrix(3, 0.1)).loss(2)
 
     def test_q_stays_on_simplex(self):
         rng = np.random.default_rng(1)
@@ -53,43 +60,47 @@ class TestNmwrLoss:
         for _ in range(20):
             probs = _rand_probs(rng, 4)
             y = int(rng.integers(0, 4))
-            loss, _, _ = nl.nmwr_loss(probs, np.eye(4), y, 0.0)
-            assert loss == pytest.approx(nl.ce_loss(probs, y), abs=1e-12)
+            loss = row_loss(_nmwr(np.eye(4), 0.0), probs, y)
+            assert loss == pytest.approx(row_loss(CrossEntropy(), probs, y), abs=1e-12)
 
     def test_regularizer_identity(self):
         probs = np.full(4, 0.25)
         lam = 0.7
-        loss0, _, _ = nl.nmwr_loss(probs, np.eye(4), 0, 0.0)
-        loss1, _, _ = nl.nmwr_loss(probs, np.eye(4), 0, lam)
+        loss0 = row_loss(_nmwr(np.eye(4), 0.0), probs, 0)
+        loss1 = row_loss(_nmwr(np.eye(4), lam), probs, 0)
         assert loss1 - loss0 == pytest.approx(lam * 4, rel=1e-12)
 
     def test_finite_difference_both_gradients(self):
+        # the functional exposes the gradients training uses: d/dM as _dM and
+        # d/dlogits as its second return value
         rng = np.random.default_rng(3)
         h = 1e-6
         for _ in range(10):
-            probs = _rand_probs(rng, 3)
+            z = rng.normal(size=(1, 3)) * 2
+            probs = softmax(z)[0]
             M = np.eye(3) + rng.normal(scale=0.1, size=(3, 3))
             y = int(rng.integers(0, 3))
             lam = 0.01
-            _, g_probs, g_M = nl.nmwr_loss(probs, M, y, lam)
+            fn = _nmwr(M, lam)
+            _, g_z = fn.per_sample(softmax(z), np.array([y]))
+            g_M = fn._dM
             num_M = np.zeros_like(M)
             for i in range(3):
                 for j in range(3):
                     up = M.copy(); up[i, j] += h
                     dn = M.copy(); dn[i, j] -= h
                     num_M[i, j] = (
-                        nl.nmwr_loss(probs, up, y, lam)[0]
-                        - nl.nmwr_loss(probs, dn, y, lam)[0]
+                        row_loss(_nmwr(up, lam), probs, y) - row_loss(_nmwr(dn, lam), probs, y)
                     ) / (2 * h)
             assert np.linalg.norm(g_M - num_M) / max(np.linalg.norm(num_M), 1e-12) < 1e-5
-            num_p = np.zeros_like(probs)
+            num_z = np.zeros(3)
             for i in range(3):
-                up = probs.copy(); up[i] += h
-                dn = probs.copy(); dn[i] -= h
-                num_p[i] = (
-                    nl.nmwr_loss(up, M, y, lam)[0] - nl.nmwr_loss(dn, M, y, lam)[0]
+                up = z.copy(); up[0, i] += h
+                dn = z.copy(); dn[0, i] -= h
+                num_z[i] = (
+                    row_loss(fn, softmax(up)[0], y) - row_loss(fn, softmax(dn)[0], y)
                 ) / (2 * h)
-            assert np.linalg.norm(g_probs - num_p) / max(np.linalg.norm(num_p), 1e-12) < 1e-5
+            assert np.linalg.norm(g_z[0] - num_z) / max(np.linalg.norm(num_z), 1e-12) < 1e-5
 
     def test_large_lambda_shrinks_M(self):
         loss_fn = NMwRTrainableLoss(k=3, lam=10.0)
