@@ -61,6 +61,17 @@ def _check_keys(block: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _typed(value, tp, what: str):
+    """A config value converted to ``tp``; a bool, or a fractional int, is rejected."""
+    try:
+        out = tp(value)
+        if isinstance(value, bool) or (tp is int and out != float(value)):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be {tp.__name__}, got {value!r}") from None
+    return out
+
+
 def _from_config(cls, block, where: str, **resolved):
     """Build the dataclass ``cls`` from a config block keyed by its field names.
 
@@ -74,13 +85,7 @@ def _from_config(cls, block, where: str, **resolved):
     _check_keys(block, set(types) - set(resolved), where)
     kwargs = dict(resolved)
     for key, value in block.items():
-        tp = types[key]
-        try:
-            kwargs[key] = tp(value)
-            if isinstance(value, bool) or (tp is int and kwargs[key] != float(value)):
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: {key} must be {tp.__name__}, got {value!r}") from None
+        kwargs[key] = _typed(value, types[key], f"{where}: {key}")
     return cls(**kwargs)
 
 
@@ -107,77 +112,70 @@ def load_config(path) -> dict:
         raise ConfigError(f"unknown noise type {noise.get('type')!r}")
     if needs not in noise:
         raise ConfigError(f"noise type {noise['type']} needs {needs}")
+    if needs == "rules" and "synth" in cfg["dataset"]:
+        raise ConfigError("rule noise needs a text dataset, not synth")
     _from_config(trainer_mod.TrainConfig, cfg["train"], "train")
     if not isinstance(cfg["strategies"], list) or not cfg["strategies"]:
         raise ConfigError("strategies must be a non-empty list")
     for s in cfg["strategies"]:
         _build_strategy(s, true_T=None, realized_fdr=0.0)
-    if int(cfg.get("trials", 1)) < 1:
+    if _typed(cfg.get("trials", 1), int, "trials") < 1:
         raise ConfigError("trials must be >= 1")
     return cfg
 
 
 def _build_dataset(cfg: dict):
+    """The featurized dataset, split into (train, val, test)."""
     ds_cfg = cfg["dataset"]
     if "synth" in ds_cfg:
         if "path" in ds_cfg:
             raise ConfigError("dataset: give either synth or path, not both")
-        ds = data_mod.synth_dataset(**ds_cfg["synth"])
-        textual = False
+        try:
+            ds = data_mod.synth_dataset(**ds_cfg["synth"])
+        except TypeError as e:  # a missing or mistyped parameter
+            raise ConfigError(f"dataset.synth: {e}") from None
     else:
         if "path" not in ds_cfg or "k" not in ds_cfg:
             raise ConfigError("dataset needs path and k (or a synth block)")
-        ds = data_mod.load_jsonl(ds_cfg["path"], int(ds_cfg["k"]))
-        textual = True
+        ds = data_mod.load_jsonl(ds_cfg["path"], _typed(ds_cfg["k"], int, "dataset: k"))
+        dims = _typed(ds_cfg.get("featurize_dims", 2**18), int, "dataset: featurize_dims")
+        ds = data_mod.featurize(ds, dims)
     split_cfg = cfg.get("split", {})
     spec = data_mod.SplitSpec(
-        fractions=(
-            float(split_cfg.get("train", 0.8)),
-            float(split_cfg.get("val", 0.1)),
-            float(split_cfg.get("test", 0.1)),
+        fractions=tuple(
+            _typed(split_cfg.get(key, default), float, f"split: {key}")
+            for key, default in (("train", 0.8), ("val", 0.1), ("test", 0.1))
         ),
-        seed=int(split_cfg.get("seed", 0)),
+        seed=_typed(split_cfg.get("seed", 0), int, "split: seed"),
     )
-    return data_mod.split(ds, spec), textual, ds_cfg
+    return data_mod.split(ds, spec)
 
 
-def _noise_matrix(noise_cfg: dict, k: int) -> noise_mod.TransitionMatrix:
-    if noise_cfg["type"] == "uniform":
-        return noise_mod.uniform_matrix(k, float(noise_cfg["level"]))
-    if noise_cfg["type"] == "sflip":
-        return noise_mod.single_flip_matrix(k, float(noise_cfg["level"]))
-    return noise_mod.TransitionMatrix.load_csv(noise_cfg["matrix"])
-
-
-def _apply_noise(splits, textual: bool, noise_cfg: dict, ds_cfg: dict):
-    """Corrupt train and val; test stays clean. Returns (splits, true T, eps)."""
-    train_ds, val_ds, test_ds = splits
-    seed = int(noise_cfg.get("seed", 0))
-    if noise_cfg.get("type") == "rules":
-        if not textual:
-            raise ConfigError("rule noise needs a text dataset, not synth")
+def _corrupt(ds, noise_cfg: dict, seed: int):
+    """Draw noisy labels for ``ds``; returns (ds, T). Rule noise may drop
+    examples, and its T is the empirical matrix of the pairs it produced."""
+    kind = noise_cfg["type"]
+    if kind == "rules":
         rules = noise_mod.RuleSet.load_jsonl(
             noise_cfg["rules"],
             abstain_to_clean=bool(noise_cfg.get("abstain_to_clean", True)),
         )
-        train_ds = noise_mod.inject_rules(train_ds, rules)
-        val_ds = noise_mod.inject_rules(val_ds, rules)
-        T = noise_mod.matrix_from_pairs(
-            train_ds.clean_labels, train_ds.noisy_labels, train_ds.k
-        )
+        ds = noise_mod.inject_rules(ds, rules)
+        return ds, noise_mod.matrix_from_pairs(ds.clean_labels, ds.noisy_labels, ds.k)
+    if kind == "matrix":
+        T = noise_mod.TransitionMatrix.load_csv(noise_cfg["matrix"])
     else:
-        T = _noise_matrix(noise_cfg, train_ds.k)
-        train_ds = dataclasses.replace(
-            train_ds, noisy_labels=noise_mod.inject(train_ds.clean_labels, T, seed)
-        )
-        val_ds = dataclasses.replace(
-            val_ds, noisy_labels=noise_mod.inject(val_ds.clean_labels, T, seed + 1)
-        )
-    if textual:
-        dims = int(ds_cfg.get("featurize_dims", 2**18))
-        train_ds = data_mod.featurize(train_ds, dims)
-        val_ds = data_mod.featurize(val_ds, dims)
-        test_ds = data_mod.featurize(test_ds, dims)
+        family = noise_mod.uniform_matrix if kind == "uniform" else noise_mod.single_flip_matrix
+        T = family(ds.k, _typed(noise_cfg["level"], float, "noise: level"))
+    return dataclasses.replace(ds, noisy_labels=noise_mod.inject(ds.clean_labels, T, seed)), T
+
+
+def _apply_noise(splits, noise_cfg: dict):
+    """Corrupt train and val; test stays clean. Returns (splits, true T, eps)."""
+    train_ds, val_ds, test_ds = splits
+    seed = _typed(noise_cfg.get("seed", 0), int, "noise: seed")
+    train_ds, T = _corrupt(train_ds, noise_cfg, seed)
+    val_ds, _ = _corrupt(val_ds, noise_cfg, seed + 1)
     eps = noise_mod.fdr(train_ds.clean_labels, train_ds.noisy_labels)
     return (train_ds, val_ds, test_ds), T, eps
 
@@ -216,18 +214,11 @@ def cmd_inject(args) -> int:
         ds = data_mod.load_jsonl(args.input, args.k)
         if ds.clean_labels is None:
             raise ConfigError("input has no clean_label field")
-        if args.type == "rules":
-            rules = noise_mod.RuleSet.load_jsonl(args.rules)
-            out = noise_mod.inject_rules(ds, rules)
-            T = noise_mod.matrix_from_pairs(out.clean_labels, out.noisy_labels, ds.k)
-        else:
-            T = _noise_matrix(vars(args), args.k)
-            noisy = noise_mod.inject(ds.clean_labels, T, args.seed)
-            out = dataclasses.replace(ds, noisy_labels=noisy)
-    except NoisyLabError as e:
+        out, T = _corrupt(ds, vars(args), args.seed)
+        data_mod.write_jsonl(out, args.output)
+    except (NoisyLabError, OSError) as e:
         print(f"inject: {e}", file=sys.stderr)
         return EXIT_FAILURE
-    data_mod.write_jsonl(out, args.output)
     realized = noise_mod.fdr(out.clean_labels, out.noisy_labels)
     print(f"fdr: {realized:.4f}")
     print(f"diag_dominant: {str(noise_mod.diag_dominant(T)).lower()}")
@@ -236,15 +227,18 @@ def cmd_inject(args) -> int:
 
 def run_sweep(cfg: dict) -> int:
     """Train every strategy x trial and write artifacts; returns exit code."""
-    splits, textual, ds_cfg = _build_dataset(cfg)
-    splits, true_T, realized_fdr = _apply_noise(splits, textual, cfg.get("noise"), ds_cfg)
+    try:
+        splits, true_T, realized_fdr = _apply_noise(_build_dataset(cfg), cfg["noise"])
+        strategies = [_build_strategy(s, true_T, realized_fdr) for s in cfg["strategies"]]
+    except (NoisyLabError, OSError) as e:
+        print(f"run: {e}", file=sys.stderr)
+        return EXIT_USAGE
     train_ds, val_ds, test_ds = splits
     base_cfg = _from_config(trainer_mod.TrainConfig, cfg["train"], "train")
     trials = int(cfg.get("trials", 1))
     out_root = Path(cfg["output_dir"])
     failures = 0
-    for s_cfg in cfg["strategies"]:
-        strategy = _build_strategy(s_cfg, true_T, realized_fdr)
+    for strategy in strategies:
         for trial in range(trials):
             run_dir = out_root / strategy.name / f"trial_{trial}"
             run_dir.mkdir(parents=True, exist_ok=True)

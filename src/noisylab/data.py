@@ -1,9 +1,9 @@
 """Dataset containers, JSONL ingestion, splitting, and hashed text features.
 
 A Dataset carries examples with an optional pair of aligned label sequences:
-the true (clean) labels and the corrupted (noisy) labels. Features are sparse
-non-negative vectors produced either by hashed n-gram counts over text or by
-the synthetic generator used in experiments.
+the true (clean) labels and the corrupted (noisy) labels. Features are one
+CSR matrix of sparse non-negative rows, built once either from hashed n-gram
+counts over text or by the synthetic generator used in experiments.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ def tokenize(text: str) -> list[str]:
 class Example:
     id: str
     text: str
-    features: dict[int, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class Dataset:
     k: int
     clean_labels: np.ndarray | None = None
     noisy_labels: np.ndarray | None = None
-    dims: int | None = None
+    X: sp.csr_matrix | None = None
 
     def __post_init__(self):
         if self.k < 2:
@@ -79,13 +78,16 @@ class Dataset:
         ids = [ex.id for ex in self.examples]
         if len(set(ids)) != len(ids):
             raise DomainError("duplicate example ids in dataset")
-        if self.dims is not None:
-            for ex in self.examples:
-                if ex.features and max(ex.features) >= self.dims:
-                    raise DomainError(f"feature index >= dims in example {ex.id!r}")
+        if self.X is not None and self.X.shape[0] != n:
+            raise ShapeError(f"X has {self.X.shape[0]} rows, expected {n}")
 
     def __len__(self) -> int:
         return len(self.examples)
+
+    @property
+    def dims(self) -> int | None:
+        """Feature dimensionality; None before featurization."""
+        return None if self.X is None else self.X.shape[1]
 
     def labels(self, use: str) -> np.ndarray:
         """Select the clean or noisy label sequence by name."""
@@ -103,6 +105,7 @@ class Dataset:
             examples=tuple(self.examples[i] for i in idx),
             clean_labels=None if self.clean_labels is None else self.clean_labels[idx],
             noisy_labels=None if self.noisy_labels is None else self.noisy_labels[idx],
+            X=None if self.X is None else self.X[idx],
         )
 
 
@@ -193,14 +196,14 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
 
 
 def featurize(ds: Dataset, dims: int = 2**18) -> Dataset:
-    """Hashed unigram+bigram counts per example, L2-normalized.
+    """``ds`` with ``X`` set to hashed unigram+bigram counts, L2-normalized rows.
 
     Deterministic for fixed (text, dims); the hash is seedless FNV-1a.
     """
     if dims < 1 or dims & (dims - 1):
         raise ConfigError(f"dims must be a power of two, got {dims}")
     mask = dims - 1
-    new_examples = []
+    vecs = []
     for ex in ds.examples:
         if not ex.text:
             raise ConfigError(f"example {ex.id!r} has empty text")
@@ -210,11 +213,8 @@ def featurize(ds: Dataset, dims: int = 2**18) -> Dataset:
         for g in grams:
             idx = fnv1a_64(g) & mask
             vec[idx] = vec.get(idx, 0.0) + 1.0
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        if norm > 0:
-            vec = {i: w / norm for i, w in vec.items()}
-        new_examples.append(dataclasses.replace(ex, features=vec))
-    return dataclasses.replace(ds, examples=tuple(new_examples), dims=dims)
+        vecs.append(vec)
+    return dataclasses.replace(ds, X=_stack_rows(vecs, dims))
 
 
 def synth_dataset(
@@ -244,7 +244,7 @@ def synth_dataset(
     protos = [proto_pool[c * proto_size : (c + 1) * proto_size] for c in range(k)]
     labels = rng.permuted(np.arange(n) % k)
     scale = 1.0 - margin
-    examples = []
+    vecs = []
     for i in range(n):
         y = labels[i]
         vec = {int(j): 1.0 for j in protos[y]}
@@ -253,30 +253,32 @@ def synth_dataset(
         for j, w in zip(extra_idx, extra_w):
             if w > 0:
                 vec[int(j)] = vec.get(int(j), 0.0) + float(w)
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        vec = {j: w / norm for j, w in vec.items()}
-        examples.append(Example(id=f"synth-{i}", text="", features=vec))
+        vecs.append(vec)
     return Dataset(
-        examples=tuple(examples),
+        examples=tuple(Example(id=f"synth-{i}", text="") for i in range(n)),
         k=k,
         clean_labels=labels.astype(np.int64),
-        dims=dims,
+        X=_stack_rows(vecs, dims),
+    )
+
+
+def _stack_rows(vecs: list[dict[int, float]], dims: int) -> sp.csr_matrix:
+    """L2-normalize sparse vectors and stack them as CSR rows, columns ascending."""
+    data, indices, indptr = [], [], [0]
+    for vec in vecs:
+        norm = math.sqrt(sum(w * w for w in vec.values()))
+        for i in sorted(vec):
+            indices.append(i)
+            data.append(vec[i] / norm)
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
+        shape=(len(vecs), dims),
     )
 
 
 def feature_matrix(ds: Dataset) -> sp.csr_matrix:
-    """Stack example features into a CSR matrix of shape (n, dims)."""
-    if ds.dims is None:
+    """The dataset's (n, dims) CSR features."""
+    if ds.X is None:
         raise ConfigError("dataset is not featurized")
-    data, indices, indptr = [], [], [0]
-    for ex in ds.examples:
-        if ex.features is None:
-            raise ConfigError(f"example {ex.id!r} has no features")
-        for i in sorted(ex.features):
-            indices.append(i)
-            data.append(ex.features[i])
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
-        shape=(len(ds), ds.dims),
-    )
+    return ds.X

@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DegenerateClassError, SizeError
-from .model import PROB_CLAMP, Params, predict_probs
+from .model import CrossEntropy, Params, predict_probs
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ def snapshot_losses(params: Params, ds: Dataset, step: int = 0) -> LossSnapshot:
     produced the checkpoint; is_wrong flags where noisy differs from clean."""
     if ds.clean_labels is None or ds.noisy_labels is None:
         raise ConfigError("separability needs both clean and noisy labels")
-    probs = predict_probs(params, ds)
-    idx = np.arange(len(ds))
-    losses = -np.log(np.maximum(probs[idx, ds.noisy_labels], PROB_CLAMP))
+    losses, _ = CrossEntropy().per_sample(predict_probs(params, ds), ds.noisy_labels)
     return LossSnapshot(
         losses=losses, is_wrong=ds.noisy_labels != ds.clean_labels, step=step
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, tokenize
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ParseError, ShapeError
 
 ROW_SUM_TOL = 1e-9
 
@@ -68,11 +68,17 @@ class RuleSet:
     def load_jsonl(cls, path, abstain_to_clean: bool = True) -> "RuleSet":
         rules = []
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     rec = json.loads(line)
                     rules.append((str(rec["keyword"]), int(rec["class"])))
+                except KeyError as e:
+                    raise ParseError(f"{path}: line {lineno}: missing {e}") from None
+                except (TypeError, ValueError) as e:
+                    raise ParseError(f"{path}: line {lineno}: {e}") from None
         return cls(rules=tuple(rules), abstain_to_clean=abstain_to_clean)
 
 

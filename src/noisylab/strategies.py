@@ -101,8 +101,6 @@ class NMatCorrectedCE:
         self.T = T.rows
 
     def per_sample(self, probs: np.ndarray, labels: np.ndarray):
-        n = len(labels)
-        idx = np.arange(n)
         # A[n, i] = T[i, y_n]; q_y reduces to probs[y] exactly when T = I,
         # which keeps the NMat(identity) trajectory bitwise equal to Vanilla.
         A = self.T[:, labels].T

@@ -61,13 +61,10 @@ def mann_whitney_auc(losses, is_wrong):
     return total / (len(wrong) * len(correct))
 
 
-def dense_probs(p, features):
-    """Independent single-example forward pass: a dense numpy row through the
-    weights, then a max-shifted softmax."""
-    row = np.zeros(p.dims)
-    for i, v in features.items():
-        row[i] = v
-    z = row @ p.w1 + p.b1
+def dense_probs(p, row):
+    """Independent single-example forward pass: a 1-row CSR matrix densified
+    to a numpy row, through the weights, then a max-shifted softmax."""
+    z = row.toarray()[0] @ p.w1 + p.b1
     if p.arch == "mlp":
         z = np.tanh(z) @ p.w2 + p.b2
     e = np.exp(z - z.max())

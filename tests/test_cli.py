@@ -126,6 +126,42 @@ class TestInject:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("inject:")
 
+    @pytest.mark.parametrize(
+        "rules, expected",
+        [
+            (None, "missing.jsonl"),
+            ('{"keyword": "word1", "class": 1}\n{"class": 2}\n', "line 2: missing 'keyword'"),
+            ('{"keyword": "word1", "class": 1}\nword2 -> 2\n', "line 2"),
+        ],
+        ids=["missing_input", "rule_without_keyword", "rules_not_json"],
+    )
+    def test_unreadable_input_one_line_failure(self, tmp_path, capsys, rules, expected):
+        src = tmp_path / "clean.jsonl"
+        argv = ["--type", "uniform", "--level", "0.4"]
+        if rules is None:
+            src = tmp_path / "missing.jsonl"
+        else:
+            _write_clean_jsonl(src, n=10)
+            (tmp_path / "rules.jsonl").write_text(rules)
+            argv = ["--type", "rules", "--rules", str(tmp_path / "rules.jsonl")]
+        code = main(
+            ["inject", "--input", str(src), "--output", str(tmp_path / "o.jsonl"), "--k", "4", *argv]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("inject:") and expected in err[0]
+
+    def test_unwritable_output_one_line_failure(self, tmp_path, capsys):
+        src = tmp_path / "clean.jsonl"
+        _write_clean_jsonl(src, n=10)
+        code = main(
+            ["inject", "--input", str(src), "--output", str(tmp_path / "no_dir" / "o.jsonl"),
+             "--k", "4", "--type", "uniform", "--level", "0.4"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("inject:")
+
 
 class TestRun:
     def test_artifacts_per_strategy_trial(self, tmp_path):
@@ -166,9 +202,16 @@ class TestRun:
             (lambda c: c["strategies"].append({"name": "nmwr", "lambda": 1e-4}), 2),
             (lambda c: c["strategies"].append({"name": "nmat", "matrix": "missing.csv"}), 2),
             (lambda c: c["train"].update(lr="5e-1"), 0),  # how PyYAML reads `lr: 5e-1`
+            (lambda c: c["noise"].update(level=1.5), 2),
+            (lambda c: c["dataset"]["synth"].update(dims=64), 2),
+            (lambda c: c["dataset"]["synth"].pop("k"), 2),
+            (lambda c: c["split"].update(train="x"), 2),
+            (lambda c: c["split"].update(train=0.5), 2),
+            (lambda c: c.update(trials="abc"), 2),
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
-             "missing_matrix_csv", "lr_5e-1"],
+             "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
+             "synth_without_k", "split_train_x", "split_sum_0.7", "trials_abc"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, edit, code):
         cfg = _small_config(tmp_path, trials=1)
@@ -228,8 +271,7 @@ class TestRun:
         from noisylab.model import load_checkpoint
 
         params, _ = load_checkpoint(run_dir / "best.npz")
-        splits, textual, ds_cfg = cli_mod._build_dataset(cfg)
-        splits, _, _ = cli_mod._apply_noise(splits, textual, cfg["noise"], ds_cfg)
+        splits, _, _ = cli_mod._apply_noise(cli_mod._build_dataset(cfg), cfg["noise"])
         _, _, test_ds = splits
         assert nl.evaluate(params, test_ds, "clean") == summary["best_test_acc"]
 

@@ -9,13 +9,29 @@ from hypothesis import strategies as st
 
 import noisylab as nl
 from noisylab.data import feature_matrix, fnv1a_64, tokenize
-from noisylab.errors import ConfigError, DomainError, ParseError, SizeError
+from noisylab.errors import ConfigError, DomainError, ParseError, ShapeError, SizeError
 
 
 def _write(path, records):
     with open(path, "w") as f:
         for rec in records:
             f.write(json.dumps(rec) + "\n")
+
+
+def _row(X, r=0):
+    """Row r of a CSR matrix as {column: value}."""
+    row = X[r]
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
+def _same_csr(a, b):
+    """Bitwise equality of two CSR matrices' shape, data, indices and indptr."""
+    return (
+        a.shape == b.shape
+        and a.data.tobytes() == b.data.tobytes()
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.indptr, b.indptr)
+    )
 
 
 class TestLoadJsonl:
@@ -113,8 +129,8 @@ class TestFeaturize:
             k=2,
             clean_labels=np.array([0]),
         )
-        f1 = nl.featurize(ds, 256).examples[0].features
-        f2 = nl.featurize(ds, 256).examples[0].features
+        f1 = _row(nl.featurize(ds, 256).X)
+        f2 = _row(nl.featurize(ds, 256).X)
         assert f1 == f2
 
     def test_l2_norm(self):
@@ -123,7 +139,7 @@ class TestFeaturize:
             k=2,
             clean_labels=np.array([0]),
         )
-        f = nl.featurize(ds, 1024).examples[0].features
+        f = _row(nl.featurize(ds, 1024).X)
         assert abs(math.sqrt(sum(w * w for w in f.values())) - 1.0) < 1e-9
 
     def test_bigram_order_matters(self):
@@ -140,7 +156,7 @@ class TestFeaturize:
             clean_labels=np.array([0, 1]),
         )
         out = nl.featurize(ds, dims)
-        fx, fy = out.examples[0].features, out.examples[1].features
+        fx, fy = _row(out.X, 0), _row(out.X, 1)
         assert fx != fy
         assert set(fx) == idx_ab
         assert set(fy) == idx_ba
@@ -160,7 +176,37 @@ class TestFeaturize:
         ds = nl.Dataset(
             examples=(nl.Example(id="a", text=text),), k=2, clean_labels=np.array([0])
         )
-        assert nl.featurize(ds, 128).examples[0].features == nl.featurize(ds, 128).examples[0].features
+        assert _row(nl.featurize(ds, 128).X) == _row(nl.featurize(ds, 128).X)
+
+    @given(
+        texts=st.lists(st.text(alphabet="ab cd", min_size=1, max_size=12), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_subset_commutes_with_featurize(self, texts, data):
+        # what makes featurizing once, before the split, safe
+        ds = nl.Dataset(
+            examples=tuple(nl.Example(id=str(i), text=t) for i, t in enumerate(texts)),
+            k=2,
+            clean_labels=np.zeros(len(texts), dtype=np.int64),
+        )
+        idx = np.array(
+            data.draw(st.lists(st.integers(0, len(texts) - 1), unique=True)), dtype=np.int64
+        )
+        assert _same_csr(nl.featurize(ds, 64).subset(idx).X, nl.featurize(ds.subset(idx), 64).X)
+
+    def test_wrong_row_count(self):
+        X = nl.featurize(
+            nl.Dataset(examples=(nl.Example(id="a", text="t"),), k=2, clean_labels=np.array([0])),
+            64,
+        ).X
+        with pytest.raises(ShapeError):
+            nl.Dataset(
+                examples=(nl.Example(id="a", text="t"), nl.Example(id="b", text="u")),
+                k=2,
+                clean_labels=np.array([0, 1]),
+                X=X,
+            )
 
 
 class TestSynthDataset:
@@ -175,7 +221,7 @@ class TestSynthDataset:
         a = nl.synth_dataset(k=3, n=60, margin=0.7, seed=11)
         b = nl.synth_dataset(k=3, n=60, margin=0.7, seed=11)
         assert np.array_equal(a.clean_labels, b.clean_labels)
-        assert all(x.features == y.features for x, y in zip(a.examples, b.examples))
+        assert _same_csr(a.X, b.X)
 
     def test_logistic_regression_bound(self):
         # frozen regression: reference trainer reached 1.0 on this fixture
@@ -189,8 +235,8 @@ class TestSynthDataset:
 
     def test_feature_indices_below_dims(self):
         ds = nl.synth_dataset(k=2, n=20, margin=0.5, seed=1, dims=128)
-        assert all(max(e.features) < 128 for e in ds.examples)
         X = feature_matrix(ds)
+        assert X.indices.max() < 128
         assert X.shape == (20, 128)
         norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
         assert np.allclose(norms, 1.0, atol=1e-9)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import noisylab as nl
 from noisylab.diagnostics import LossSnapshot
@@ -19,8 +20,8 @@ class TestSnapshotLosses:
         ds = with_noise(nl.synth_dataset(k=3, n=40, margin=0.7, seed=30, dims=128), 0.3, seed=31)
         p = nl.init_params(128, 3, seed=32)
         snap = nl.snapshot_losses(p, ds)
-        for i, ex in enumerate(ds.examples):
-            probs = dense_probs(p, ex.features)
+        for i in range(len(ds)):
+            probs = dense_probs(p, ds.X[i])
             expected = -np.log(max(probs[ds.noisy_labels[i]], 1e-12))
             assert snap.losses[i] == pytest.approx(expected, abs=1e-12)
             assert snap.is_wrong[i] == (ds.noisy_labels[i] != ds.clean_labels[i])
@@ -31,10 +32,10 @@ class TestSnapshotLosses:
         n, k = 16, 2
         rng = np.random.default_rng(33)
         clean = rng.integers(0, k, n)
-        examples = tuple(
-            nl.Example(id=str(i), text="", features={i: 1.0}) for i in range(n)
+        examples = tuple(nl.Example(id=str(i), text="") for i in range(n))
+        ds = nl.Dataset(
+            examples=examples, k=k, clean_labels=clean, X=sp.identity(n, format="csr")
         )
-        ds = nl.Dataset(examples=examples, k=k, clean_labels=clean, dims=n)
         ds = with_noise(ds, 0.3, seed=34)
         w = np.zeros((n, k))
         for i, y in enumerate(ds.noisy_labels):

@@ -192,9 +192,10 @@ class TestEvaluate:
         # weights that read off the class prototype blocks
         w = np.zeros((128, 3))
         for c in range(3):
-            for ex, y in zip(ds.examples, ds.clean_labels):
+            for r, y in enumerate(ds.clean_labels):
                 if y == c:
-                    for i, v in ex.features.items():
+                    row = ds.X[r]
+                    for i, v in zip(row.indices, row.data):
                         w[i, c] += v
         p = Params(arch="linear", dims=128, k=3, w1=w, b1=np.zeros(3))
         assert nl.evaluate(p, ds, "clean") == 1.0
@@ -209,8 +210,8 @@ class TestEvaluate:
         ds = nl.synth_dataset(k=3, n=25, margin=0.6, seed=16, dims=128)
         p = nl.init_params(128, 3, seed=17)
         correct = 0
-        for ex, y in zip(ds.examples, ds.clean_labels):
-            probs = dense_probs(p, ex.features)
+        for r, y in enumerate(ds.clean_labels):
+            probs = dense_probs(p, ds.X[r])
             if int(np.argmax(probs)) == y:
                 correct += 1
         assert nl.evaluate(p, ds, "clean") == correct / len(ds)
