@@ -2,18 +2,20 @@
 aggregate mean/std tables, and emit plot-ready diagnostics CSVs.
 
 Subcommands: inject, run, report, diagnose. The run config is a YAML tree
-with strict unknown-key rejection so hyperparameter typos fail loudly.
+with strict unknown-key rejection so hyperparameter typos fail loudly. Every
+failure ends in one stderr line and its exit code (see ``main``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
-import os
 import sys
 import typing
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from . import model as model_mod
 from . import noise as noise_mod
 from . import strategies as strat_mod
 from . import trainer as trainer_mod
-from .errors import ConfigError, DegenerateClassError, NoisyLabError
+from .errors import ConfigError, DegenerateClassError, NoisyLabError, ParseError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -34,38 +36,29 @@ EXIT_DEGENERATE = 3
 
 FAILURE_MARKER = "FAILED"
 
-_CONFIG_SCHEMA = {
-    "dataset": {
-        "synth": {"k", "n", "margin", "seed", "dims"},
-        "path": None,
-        "k": None,
-        "featurize_dims": None,
-    },
-    "split": {"train", "val", "test", "seed"},
-    "noise": {"type", "level", "seed", "matrix", "rules", "abstain_to_clean"},
-    "strategies": None,  # each entry takes its strategy's fields
-    "train": None,  # TrainConfig's fields
-    "trials": None,
-    "output_dir": None,
-}
-
 # The parameter each noise type cannot do without.
 _NOISE_NEEDS = {"uniform": "level", "sflip": "level", "matrix": "matrix", "rules": "rules"}
 
 _STRATEGIES = {cls.name: cls for cls in typing.get_args(strat_mod.Strategy)}
 
 
-def _check_keys(block: dict, allowed, where: str) -> None:
+def _check_keys(block, allowed, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a mapping")
     unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _typed(value, tp, what: str):
-    """A config value converted to ``tp``; a bool, or a fractional int, is rejected."""
+    """A config value converted to ``tp``. A bool or str field takes only its
+    own type, no other field takes a bool, and an int field rejects a
+    fractional number."""
     try:
         out = tp(value)
-        if isinstance(value, bool) or (tp is int and out != float(value)):
+        if (tp is bool) != isinstance(value, bool) or (tp is int and out != float(value)):
+            raise ValueError
+        if tp is str and not isinstance(value, str):
             raise ValueError
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be {tp.__name__}, got {value!r}") from None
@@ -78,8 +71,6 @@ def _from_config(cls, block, where: str, **resolved):
     Each value is converted to its field's declared type. ``resolved`` holds
     fields the caller works out itself; the block may not set those.
     """
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a mapping")
     hints = typing.get_type_hints(cls)
     types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
     _check_keys(block, set(types) - set(resolved), where)
@@ -89,47 +80,37 @@ def _from_config(cls, block, where: str, **resolved):
     return cls(**kwargs)
 
 
-def load_config(path) -> dict:
+def load_config(path):
+    """Read and build a run config: (splits, strategies, TrainConfig, trials,
+    output_dir). The cheap checks run before the dataset is built."""
     with open(path, encoding="utf-8") as f:
         cfg = yaml.safe_load(f)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(cfg, _CONFIG_SCHEMA, "config")
+    _check_keys(
+        cfg, ("dataset", "split", "noise", "strategies", "train", "trials", "output_dir"), "config"
+    )
     for key in ("dataset", "strategies", "train", "output_dir"):
         if key not in cfg:
             raise ConfigError(f"config missing required key {key!r}")
-    _check_keys(cfg["dataset"], _CONFIG_SCHEMA["dataset"], "dataset")
-    if "synth" in cfg["dataset"]:
-        _check_keys(cfg["dataset"]["synth"], _CONFIG_SCHEMA["dataset"]["synth"], "dataset.synth")
-    if "split" in cfg:
-        _check_keys(cfg["split"], _CONFIG_SCHEMA["split"], "split")
-    noise = cfg.get("noise")
-    if not noise:
-        raise ConfigError("config needs a noise block")
-    _check_keys(noise, _CONFIG_SCHEMA["noise"], "noise")
-    needs = _NOISE_NEEDS.get(noise.get("type"))
-    if needs is None:
-        raise ConfigError(f"unknown noise type {noise.get('type')!r}")
-    if needs not in noise:
-        raise ConfigError(f"noise type {noise['type']} needs {needs}")
-    if needs == "rules" and "synth" in cfg["dataset"]:
-        raise ConfigError("rule noise needs a text dataset, not synth")
-    _from_config(trainer_mod.TrainConfig, cfg["train"], "train")
+    train_cfg = _from_config(trainer_mod.TrainConfig, cfg["train"], "train")
+    trials = _typed(cfg.get("trials", 1), int, "trials")
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
     if not isinstance(cfg["strategies"], list) or not cfg["strategies"]:
         raise ConfigError("strategies must be a non-empty list")
-    for s in cfg["strategies"]:
-        _build_strategy(s, true_T=None, realized_fdr=0.0)
-    if _typed(cfg.get("trials", 1), int, "trials") < 1:
-        raise ConfigError("trials must be >= 1")
-    return cfg
+    output_dir = Path(_typed(cfg["output_dir"], str, "output_dir"))
+    splits, true_T, realized_fdr = _apply_noise(_build_dataset(cfg), cfg.get("noise"))
+    strategies = [_build_strategy(s, true_T, realized_fdr) for s in cfg["strategies"]]
+    return splits, strategies, train_cfg, trials, output_dir
 
 
 def _build_dataset(cfg: dict):
     """The featurized dataset, split into (train, val, test)."""
     ds_cfg = cfg["dataset"]
+    _check_keys(ds_cfg, ("synth", "path", "k", "featurize_dims"), "dataset")
     if "synth" in ds_cfg:
         if "path" in ds_cfg:
             raise ConfigError("dataset: give either synth or path, not both")
+        _check_keys(ds_cfg["synth"], ("k", "n", "margin", "seed", "dims"), "dataset.synth")
         try:
             ds = data_mod.synth_dataset(**ds_cfg["synth"])
         except TypeError as e:  # a missing or mistyped parameter
@@ -141,41 +122,45 @@ def _build_dataset(cfg: dict):
         dims = _typed(ds_cfg.get("featurize_dims", 2**18), int, "dataset: featurize_dims")
         ds = data_mod.featurize(ds, dims)
     split_cfg = cfg.get("split", {})
-    spec = data_mod.SplitSpec(
-        fractions=tuple(
-            _typed(split_cfg.get(key, default), float, f"split: {key}")
-            for key, default in (("train", 0.8), ("val", 0.1), ("test", 0.1))
-        ),
-        seed=_typed(split_cfg.get("seed", 0), int, "split: seed"),
+    _check_keys(split_cfg, ("train", "val", "test", "seed"), "split")
+    fractions = tuple(
+        _typed(split_cfg.get(key, default), float, f"split: {key}")
+        for key, default in (("train", 0.8), ("val", 0.1), ("test", 0.1))
     )
-    return data_mod.split(ds, spec)
+    if not all(f > 0 for f in fractions):  # then no split comes out empty
+        raise ConfigError(f"split fractions must be > 0, got {fractions}")
+    seed = _typed(split_cfg.get("seed", 0), int, "split: seed")
+    return data_mod.split(ds, data_mod.SplitSpec(fractions, seed))
 
 
-def _corrupt(ds, noise_cfg: dict, seed: int):
-    """Draw noisy labels for ``ds``; returns (ds, T). Rule noise may drop
-    examples, and its T is the empirical matrix of the pairs it produced."""
-    kind = noise_cfg["type"]
+def _corrupt(ds, noise: dict, offset: int = 0):
+    """Draw noisy labels for ``ds`` from a noise block, seeded with its seed
+    plus ``offset``; returns (ds, T). Rule noise may drop examples, and its T
+    is the empirical matrix of the pairs it produced."""
+    _check_keys(noise, ("type", "level", "seed", "matrix", "rules", "abstain_to_clean"), "noise")
+    kind = noise.get("type")
+    if kind not in _NOISE_NEEDS:
+        raise ConfigError(f"unknown noise type {kind!r}")
+    if _NOISE_NEEDS[kind] not in noise:
+        raise ConfigError(f"noise type {kind} needs {_NOISE_NEEDS[kind]}")
+    seed = _typed(noise.get("seed", 0), int, "noise: seed") + offset
     if kind == "rules":
-        rules = noise_mod.RuleSet.load_jsonl(
-            noise_cfg["rules"],
-            abstain_to_clean=bool(noise_cfg.get("abstain_to_clean", True)),
-        )
-        ds = noise_mod.inject_rules(ds, rules)
+        abstain = _typed(noise.get("abstain_to_clean", True), bool, "noise: abstain_to_clean")
+        ds = noise_mod.inject_rules(ds, noise_mod.RuleSet.load_jsonl(noise["rules"], abstain))
         return ds, noise_mod.matrix_from_pairs(ds.clean_labels, ds.noisy_labels, ds.k)
     if kind == "matrix":
-        T = noise_mod.TransitionMatrix.load_csv(noise_cfg["matrix"])
+        T = noise_mod.TransitionMatrix.load_csv(noise["matrix"])
     else:
         family = noise_mod.uniform_matrix if kind == "uniform" else noise_mod.single_flip_matrix
-        T = family(ds.k, _typed(noise_cfg["level"], float, "noise: level"))
+        T = family(ds.k, _typed(noise["level"], float, "noise: level"))
     return dataclasses.replace(ds, noisy_labels=noise_mod.inject(ds.clean_labels, T, seed)), T
 
 
-def _apply_noise(splits, noise_cfg: dict):
+def _apply_noise(splits, noise):
     """Corrupt train and val; test stays clean. Returns (splits, true T, eps)."""
     train_ds, val_ds, test_ds = splits
-    seed = _typed(noise_cfg.get("seed", 0), int, "noise: seed")
-    train_ds, T = _corrupt(train_ds, noise_cfg, seed)
-    val_ds, _ = _corrupt(val_ds, noise_cfg, seed + 1)
+    train_ds, T = _corrupt(train_ds, noise)
+    val_ds, _ = _corrupt(val_ds, noise, offset=1)
     eps = noise_mod.fdr(train_ds.clean_labels, train_ds.noisy_labels)
     return (train_ds, val_ds, test_ds), T, eps
 
@@ -204,39 +189,27 @@ def _build_strategy(s_cfg, true_T, realized_fdr: float):
 
 
 def cmd_inject(args) -> int:
+    flags = {f: getattr(args, f) for f in ("level", "matrix", "rules")}
+    given = {f: value for f, value in flags.items() if value is not None}
     needs = _NOISE_NEEDS[args.type]
-    given = {f for f in ("level", "matrix", "rules") if getattr(args, f) is not None}
-    if given != {needs}:
+    if set(given) != {needs}:
         print(f"inject: --type {args.type} takes exactly --{needs}", file=sys.stderr)
         return EXIT_USAGE
-
-    try:
-        ds = data_mod.load_jsonl(args.input, args.k)
-        if ds.clean_labels is None:
-            raise ConfigError("input has no clean_label field")
-        out, T = _corrupt(ds, vars(args), args.seed)
-        data_mod.write_jsonl(out, args.output)
-    except (NoisyLabError, OSError) as e:
-        print(f"inject: {e}", file=sys.stderr)
-        return EXIT_FAILURE
+    ds = data_mod.load_jsonl(args.input, args.k)
+    if ds.clean_labels is None:
+        raise ConfigError("input has no clean_label field")
+    out, T = _corrupt(ds, dict(given, type=args.type, seed=args.seed))
+    data_mod.write_jsonl(out, args.output)
     realized = noise_mod.fdr(out.clean_labels, out.noisy_labels)
     print(f"fdr: {realized:.4f}")
     print(f"diag_dominant: {str(noise_mod.diag_dominant(T)).lower()}")
     return EXIT_OK
 
 
-def run_sweep(cfg: dict) -> int:
-    """Train every strategy x trial and write artifacts; returns exit code."""
-    try:
-        splits, true_T, realized_fdr = _apply_noise(_build_dataset(cfg), cfg["noise"])
-        strategies = [_build_strategy(s, true_T, realized_fdr) for s in cfg["strategies"]]
-    except (NoisyLabError, OSError) as e:
-        print(f"run: {e}", file=sys.stderr)
-        return EXIT_USAGE
+def run_sweep(splits, strategies, base_cfg, trials: int, out_root: Path) -> int:
+    """Train every strategy x trial of a built sweep (see ``load_config``) and
+    write artifacts; returns exit code."""
     train_ds, val_ds, test_ds = splits
-    base_cfg = _from_config(trainer_mod.TrainConfig, cfg["train"], "train")
-    trials = int(cfg.get("trials", 1))
-    out_root = Path(cfg["output_dir"])
     failures = 0
     for strategy in strategies:
         for trial in range(trials):
@@ -278,11 +251,11 @@ def run_sweep(cfg: dict) -> int:
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
+        sweep = load_config(args.config)
     except (NoisyLabError, OSError, yaml.YAMLError) as e:
         print(f"run: {e}", file=sys.stderr)
         return EXIT_USAGE
-    return run_sweep(cfg)
+    return run_sweep(*sweep)
 
 
 def _collect_summaries(run_dirs):
@@ -293,8 +266,10 @@ def _collect_summaries(run_dirs):
             if (run_dir / FAILURE_MARKER).exists():
                 print(f"report: skipping failed run {run_dir}", file=sys.stderr)
                 continue
-            with open(path, encoding="utf-8") as f:
-                summaries.append(json.load(f))
+            try:
+                summaries.append(json.loads(path.read_text(encoding="utf-8")))
+            except ValueError as e:  # a truncated or garbled summary
+                print(f"report: skipping unreadable run {run_dir}: {e}", file=sys.stderr)
     return summaries
 
 
@@ -335,47 +310,47 @@ def cmd_report(args) -> int:
         print("report: no completed runs found", file=sys.stderr)
         return EXIT_FAILURE
     rows = aggregate_report(summaries)
-    out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
-    try:
-        w = csv.writer(out)
-        w.writerow(["strategy", "trials", "best_test_acc", "memorization_gap", "auc"])
-        for r in rows:
-            w.writerow(
-                [r["strategy"], r["trials"], r["best_test_acc"], r["memorization_gap"], r["auc"]]
-            )
-    finally:
-        if args.output:
-            out.close()
+    sink = open(args.output, "w", newline="", encoding="utf-8") if args.output else None
+    with sink or contextlib.nullcontext(sys.stdout) as out:
+        writer = csv.DictWriter(out, fieldnames=rows[0])
+        writer.writeheader()
+        writer.writerows(rows)
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
     run_dir = Path(args.run_dir)
-    snap_path = run_dir / "snapshot.npz"
-    if not snap_path.exists():
-        print(f"diagnose: no loss snapshot in {run_dir}", file=sys.stderr)
-        return EXIT_FAILURE
-    with np.load(snap_path) as z:
-        snap = diag_mod.LossSnapshot(
-            losses=z["losses"], is_wrong=z["is_wrong"], step=int(z["step"])
-        )
-    diag_mod.write_histogram_csv(snap, run_dir / "histogram.csv", bins=args.bins)
-    try:
-        curve = diag_mod.roc(snap)
-    except DegenerateClassError as e:
-        print(f"diagnose: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    diag_mod.write_roc_csv(curve, run_dir / "roc.csv")
     summary_path = run_dir / "summary.json"
-    if summary_path.exists():
-        with open(summary_path, encoding="utf-8") as f:
-            summary = json.load(f)
+    try:
+        with np.load(run_dir / "snapshot.npz") as z:
+            snap = diag_mod.LossSnapshot(
+                losses=z["losses"], is_wrong=z["is_wrong"], step=int(z["step"])
+            )
+        summary = json.loads(summary_path.read_text("utf-8")) if summary_path.exists() else None
+    except (ValueError, KeyError, zipfile.BadZipFile) as e:
+        raise ParseError(f"{run_dir}: unreadable snapshot.npz or summary.json: {e}") from None
+    diag_mod.write_histogram_csv(snap, run_dir / "histogram.csv", bins=args.bins)
+    curve = diag_mod.roc(snap)
+    diag_mod.write_roc_csv(curve, run_dir / "roc.csv")
+    if summary is not None:
         diag_mod.write_report_csv([dict(summary, auc=curve.auc)], run_dir / "report.csv")
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, without the usage text
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noisylab", description="label-noise experiment runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -384,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--type", choices=["uniform", "sflip", "matrix", "rules"], required=True)
+    p.add_argument("--type", choices=list(_NOISE_NEEDS), required=True)
     p.add_argument("--level", type=float)
     p.add_argument("--matrix")
     p.add_argument("--rules")
@@ -397,19 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate run summaries into a CSV")
     p.add_argument("run_dirs", nargs="+")
-    p.add_argument("--output", default=os.environ.get("NOISYLAB_OUT"))
+    p.add_argument("--output")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("diagnose", help="histogram/ROC CSVs for a finished run")
     p.add_argument("run_dir")
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=_positive_int, default=50)
     p.set_defaults(func=cmd_diagnose)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (NoisyLabError, OSError) as e:
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return EXIT_DEGENERATE if isinstance(e, DegenerateClassError) else EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -163,7 +163,8 @@ def inject_rules(ds: Dataset, rules: RuleSet) -> Dataset:
 
     Matching is case-insensitive whole-token, first rule wins. Examples where
     no rule fires keep their clean label when abstain_to_clean, else they are
-    dropped. The induced noise is feature-dependent by construction.
+    dropped. The induced noise is feature-dependent by construction. An
+    example without text (a synthetic one) is rejected.
     """
     if not rules.rules:
         raise ConfigError("empty rule set")
@@ -176,6 +177,8 @@ def inject_rules(ds: Dataset, rules: RuleSet) -> Dataset:
     noisy = []
     keep = []
     for i, ex in enumerate(ds.examples):
+        if not ex.text:
+            raise ConfigError(f"rule noise needs text; example {ex.id!r} has none")
         toks = set(tokenize(ex.text))
         for kw, c in keywords:
             if kw in toks:

@@ -48,6 +48,15 @@ def _write_config(tmp_path, cfg, name="config.yaml"):
     return path
 
 
+def _rules_on_text(c, **noise):
+    """Point config ``c`` at a small JSONL text dataset with keyword-rule noise."""
+    root = Path(c["output_dir"]).parent
+    _write_clean_jsonl(root / "text.jsonl", n=300, k=3)
+    (root / "rules.jsonl").write_text('{"keyword": "word1", "class": 1}\n')
+    c["dataset"] = {"path": str(root / "text.jsonl"), "k": 3, "featurize_dims": 1024}
+    c["noise"] = {"type": "rules", "rules": str(root / "rules.jsonl"), **noise}
+
+
 def _cli(*argv):
     """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
     src = str(Path(nl.__file__).resolve().parents[1])
@@ -208,10 +217,19 @@ class TestRun:
             (lambda c: c["split"].update(train="x"), 2),
             (lambda c: c["split"].update(train=0.5), 2),
             (lambda c: c.update(trials="abc"), 2),
+            (lambda c: c.update(dataset=3), 2),
+            (lambda c: c.update(split=5), 2),
+            (lambda c: c.update(noise=[1]), 2),
+            (lambda c: c["split"].update(train=0.9, val=0.0), 2),
+            (lambda c: _rules_on_text(c, abstain_to_clean="false"), 2),
+            (lambda c: _rules_on_text(c, abstain_to_clean=False), 0),
+            (lambda c: c.update(output_dir=3), 2),
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
-             "synth_without_k", "split_train_x", "split_sum_0.7", "trials_abc"],
+             "synth_without_k", "split_train_x", "split_sum_0.7", "trials_abc",
+             "dataset_3", "split_5", "noise_list", "split_val_0", "abstain_string_false",
+             "abstain_false", "output_dir_3"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, edit, code):
         cfg = _small_config(tmp_path, trials=1)
@@ -254,6 +272,11 @@ class TestRun:
         cfg["output_dir"] = str(tmp_path / "out")
         assert main(["run", str(_write_config(tmp_path, cfg))]) == 0
 
+    def test_readme_python_quick_start_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+
     def test_unknown_strategy_rejected(self, tmp_path):
         cfg = _small_config(tmp_path)
         cfg["strategies"].append({"name": "magic"})
@@ -261,8 +284,6 @@ class TestRun:
             load_config(_write_config(tmp_path, cfg))
 
     def test_best_acc_reproducible_from_checkpoint(self, tmp_path):
-        from noisylab import cli as cli_mod
-
         cfg = _small_config(tmp_path)
         cfg_path = _write_config(tmp_path, cfg)
         assert main(["run", str(cfg_path)]) == 0
@@ -271,8 +292,7 @@ class TestRun:
         from noisylab.model import load_checkpoint
 
         params, _ = load_checkpoint(run_dir / "best.npz")
-        splits, _, _ = cli_mod._apply_noise(cli_mod._build_dataset(cfg), cfg["noise"])
-        _, _, test_ds = splits
+        (_, _, test_ds), *_ = load_config(cfg_path)
         assert nl.evaluate(params, test_ds, "clean") == summary["best_test_acc"]
 
 
@@ -363,6 +383,54 @@ class TestDiagnose:
         assert main(["run", str(cfg_path)]) == 0
         code = main(["diagnose", str(tmp_path / "out" / "vanilla" / "trial_0")])
         assert code == 3
+
+
+_SUMMARY = json.dumps(
+    {"strategy": "vanilla", "trial": 0, "best_test_acc": 0.9, "final_test_acc": 0.8, "auc": 0.7}
+)
+
+
+def _summaries(tmp_path, *texts):
+    """One run directory per text, holding only that summary.json (all report reads)."""
+    for trial, text in enumerate(texts):
+        run_dir = tmp_path / "out" / "vanilla" / f"trial_{trial}"
+        run_dir.mkdir(parents=True)
+        (run_dir / "summary.json").write_text(text)
+
+
+def _snapshot(tmp_path, cut):
+    run_dir = tmp_path / "out" / "vanilla" / "trial_0"
+    run_dir.mkdir(parents=True)
+    path = run_dir / "snapshot.npz"
+    np.savez(path, losses=np.ones(4), is_wrong=np.array([0, 1, 0, 1], dtype=bool), step=3)
+    path.write_bytes(cut(path.read_bytes()))
+
+
+@pytest.mark.parametrize(
+    "setup, argv, code, expected",
+    [
+        (lambda t: None, ["diagnose", "{t}", "--bins", "0"], 2, "--bins"),
+        (lambda t: _snapshot(t, lambda b: b"not a zip archive"),
+         ["diagnose", "{t}/out/vanilla/trial_0"], 1, "snapshot.npz"),
+        (lambda t: _snapshot(t, lambda b: b[: len(b) // 2]),
+         ["diagnose", "{t}/out/vanilla/trial_0"], 1, "snapshot.npz"),
+        (lambda t: _summaries(t, _SUMMARY, _SUMMARY),
+         ["report", "{t}/out", "--output", "{t}/no_dir/report.csv"], 1, "no_dir"),
+        (lambda t: _summaries(t, _SUMMARY, _SUMMARY, '{"strategy": "vanilla", "tr'),
+         ["report", "{t}/out"], 0, "skipping unreadable run"),
+    ],
+    ids=["diagnose_bins_0", "snapshot_not_zip", "snapshot_truncated",
+         "report_output_dir_missing", "report_summary_truncated"],
+)
+def test_report_diagnose_bad_input_one_line(tmp_path, setup, argv, code, expected):
+    setup(tmp_path)
+    proc = _cli(*(a.format(t=tmp_path) for a in argv))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and expected in err[0], proc.stderr
+    if code == 0:  # the readable runs are still reported
+        assert proc.stdout.splitlines()[1].startswith("vanilla,2,")
 
 
 class TestEndToEndDeterminism:

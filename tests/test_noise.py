@@ -177,6 +177,11 @@ class TestInjectRules:
         with pytest.raises(ConfigError):
             nl.inject_rules(ds, nl.RuleSet(rules=()))
 
+    def test_example_without_text_rejected(self):
+        ds = self._corpus(["lagos news", ""], [0, 1])
+        with pytest.raises(ConfigError, match="'1' has none"):
+            nl.inject_rules(ds, nl.RuleSet(rules=(("lagos", 2),)))
+
 
 class TestFdr:
     def test_quarter(self):
