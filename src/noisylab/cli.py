@@ -258,6 +258,23 @@ def cmd_run(args) -> int:
     return run_sweep(*sweep)
 
 
+# The summary.json fields report and diagnose read, with their types.
+_SUMMARY_FIELDS = {"strategy": str, "best_test_acc": (int, float), "final_test_acc": (int, float)}
+_DIAGNOSE_FIELDS = {**_SUMMARY_FIELDS, "best_val_acc": (int, float)}
+
+
+def _read_summary(path: Path, fields: dict = _SUMMARY_FIELDS) -> dict:
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:  # a truncated or garbled summary
+        raise ParseError(f"{path}: {e}") from None
+    if not isinstance(summary, dict) or not all(
+        isinstance(summary.get(key), tp) for key, tp in fields.items()
+    ):
+        raise ParseError(f"{path}: not a run summary with {', '.join(fields)}")
+    return summary
+
+
 def _collect_summaries(run_dirs):
     summaries = []
     for root in run_dirs:
@@ -267,9 +284,9 @@ def _collect_summaries(run_dirs):
                 print(f"report: skipping failed run {run_dir}", file=sys.stderr)
                 continue
             try:
-                summaries.append(json.loads(path.read_text(encoding="utf-8")))
-            except ValueError as e:  # a truncated or garbled summary
-                print(f"report: skipping unreadable run {run_dir}: {e}", file=sys.stderr)
+                summaries.append(_read_summary(path))
+            except ParseError as e:
+                print(f"report: skipping unreadable run {e}", file=sys.stderr)
     return summaries
 
 
@@ -326,9 +343,9 @@ def cmd_diagnose(args) -> int:
             snap = diag_mod.LossSnapshot(
                 losses=z["losses"], is_wrong=z["is_wrong"], step=int(z["step"])
             )
-        summary = json.loads(summary_path.read_text("utf-8")) if summary_path.exists() else None
     except (ValueError, KeyError, zipfile.BadZipFile) as e:
-        raise ParseError(f"{run_dir}: unreadable snapshot.npz or summary.json: {e}") from None
+        raise ParseError(f"{run_dir}: unreadable snapshot.npz: {e}") from None
+    summary = _read_summary(summary_path, _DIAGNOSE_FIELDS) if summary_path.exists() else None
     diag_mod.write_histogram_csv(snap, run_dir / "histogram.csv", bins=args.bins)
     curve = diag_mod.roc(snap)
     diag_mod.write_roc_csv(curve, run_dir / "roc.csv")

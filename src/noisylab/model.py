@@ -24,7 +24,8 @@ INIT_SCALE = 0.05
 @dataclass(frozen=True)
 class Params:
     """Classifier weights. ``linear``: w1 is (dims, k). ``mlp``: w1 (dims, h),
-    w2 (h, k)."""
+    w2 (h, k). ``step`` updates the arrays in place; ``train`` returns
+    parameters whose arrays it owns."""
 
     arch: str
     dims: int
@@ -43,20 +44,6 @@ class Params:
             w2=None if self.w2 is None else self.w2.copy(),
             b2=None if self.b2 is None else self.b2.copy(),
         )
-
-
-@dataclass(frozen=True)
-class Batch:
-    X: sp.csr_matrix
-    labels: np.ndarray
-
-    def __post_init__(self):
-        if self.X.shape[0] != len(self.labels):
-            raise ShapeError(
-                f"batch has {self.X.shape[0]} rows but {len(self.labels)} labels"
-            )
-        if len(self.labels) == 0:
-            raise ShapeError("empty batch")
 
 
 def init_params(
@@ -143,49 +130,46 @@ class SmoothedCrossEntropy:
         return losses, probs - T
 
 
-def _backprop(p: Params, X: sp.csr_matrix, H, dlogits: np.ndarray, lr: float) -> Params:
+def step(p: Params, X: sp.csr_matrix, labels: np.ndarray, lr: float, loss_fn=None) -> float:
+    """One SGD step on the mean batch loss. Updates ``p``'s arrays in place,
+    touching only the ``w1`` rows of the batch's feature columns, and returns
+    the mean loss. On ``NumericError`` ``p`` is left unchanged."""
     n = X.shape[0]
-    dZ = dlogits / n
-    if p.arch == "linear":
-        grads = {"w1": X.T @ dZ, "b1": dZ.sum(axis=0)}
-    else:
-        dH = dZ @ p.w2.T
-        dZ1 = dH * (1.0 - H * H)
-        grads = {
-            "w1": X.T @ dZ1,
-            "b1": dZ1.sum(axis=0),
-            "w2": H.T @ dZ,
-            "b2": dZ.sum(axis=0),
-        }
-    for name, g in grads.items():
-        g = np.asarray(g)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in parameter block {name}")
-        grads[name] = g
-    updates = {name: getattr(p, name) - lr * g for name, g in grads.items()}
-    return dataclasses.replace(p, **updates)
-
-
-def step(p: Params, batch: Batch, lr: float, loss_fn=None) -> tuple[Params, float]:
-    """One SGD step on the mean batch loss; returns (new params, mean loss)."""
     if loss_fn is None:
         loss_fn = CrossEntropy()
-    probs, H = _forward_batch(p, batch.X)
-    losses, dlogits = loss_fn.per_sample(probs, batch.labels)
-    new_p = _backprop(p, batch.X, H, dlogits, lr)
+    probs, H = _forward_batch(p, X)
+    losses, dlogits = loss_fn.per_sample(probs, labels)
+    dZ = dlogits / n
+    # The batch's transpose over its own columns only: the same entries in the
+    # same order as X.T, so each touched row's gradient sums bitwise as X.T's.
+    cols, inv = np.unique(X.indices, return_inverse=True)
+    XcT = sp.csc_matrix((X.data, inv, X.indptr), shape=(len(cols), n))
+    if p.arch == "linear":
+        grads = {"w1": XcT @ dZ, "b1": dZ.sum(axis=0)}
+    else:
+        dZ1 = (dZ @ p.w2.T) * (1.0 - H * H)
+        grads = {"w1": XcT @ dZ1, "b1": dZ1.sum(axis=0), "w2": H.T @ dZ, "b2": dZ.sum(axis=0)}
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient in parameter block {name}")
+    p.w1[cols] -= lr * grads.pop("w1")
+    for name, g in grads.items():
+        getattr(p, name)[...] -= lr * g
     if hasattr(loss_fn, "sgd_update"):
         loss_fn.sgd_update(lr)
-    return new_p, float(np.mean(losses))
+    return float(np.mean(losses))
+
+
+def accuracy(p: Params, X: sp.csr_matrix, labels: np.ndarray) -> float:
+    """Share of rows whose argmax prediction is the label; argmax ties break
+    to the lowest class index."""
+    probs, _ = _forward_batch(p, X)
+    return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
 def evaluate(p: Params, ds: Dataset, use: str = "clean") -> float:
-    """Accuracy of argmax predictions against the selected label sequence.
-
-    Argmax ties break to the lowest class index.
-    """
-    labels = ds.labels(use)
-    probs = predict_probs(p, ds)
-    return float(np.mean(np.argmax(probs, axis=1) == labels))
+    """Accuracy of argmax predictions against the selected label sequence."""
+    return accuracy(p, feature_matrix(ds), ds.labels(use))
 
 
 def save_checkpoint(p: Params, path, extras: dict | None = None) -> None:

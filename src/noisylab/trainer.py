@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, feature_matrix
 from .errors import ConfigError
-from .model import Batch, Params, _forward_batch, init_params, step
+from .model import Params, _forward_batch, accuracy, init_params, step
 from .strategies import CoTeaching, NoValidation, Strategy, coteach_select, keep_fraction
 
 
@@ -84,15 +84,6 @@ class RunRecord:
         }
 
 
-def _accuracy(params: Params, X, labels) -> float:
-    probs, _ = _forward_batch(params, X)
-    return float(np.mean(np.argmax(probs, axis=1) == labels))
-
-
-def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
-    return np.random.default_rng([seed, epoch])
-
-
 def train(
     train_ds: Dataset,
     val_ds: Dataset,
@@ -133,6 +124,8 @@ def train(
     record = RunRecord()
     best_acc = -1.0
     best_params = params.copy()
+    # The w1 rows that steps may have changed since best_params last copied them.
+    dirty = np.zeros(train_ds.dims, dtype=bool)
     evals_since_best = 0
     step_count = 0
     loss_acc: list[float] = []
@@ -140,41 +133,50 @@ def train(
     prev_epoch_loss = None
     flat_epochs = 0
 
+    def keep_best():
+        best_params.w1[dirty] = params.w1[dirty]
+        best_params.b1[...] = params.b1
+        if params.w2 is not None:
+            best_params.w2[...] = params.w2
+            best_params.b2[...] = params.b2
+        dirty[:] = False
+
     def run_eval():
-        nonlocal best_acc, best_params, evals_since_best
-        val_acc = _accuracy(params, Xval, val_labels)
-        test_acc = _accuracy(params, Xte, test_labels)
+        nonlocal best_acc, evals_since_best
+        val_acc = accuracy(params, Xval, val_labels)
+        test_acc = accuracy(params, Xte, test_labels)
         train_loss = float(np.mean(loss_acc)) if loss_acc else math.nan
         loss_acc.clear()
         record.entries.append(EvalEntry(step_count, train_loss, val_acc, test_acc))
         if val_acc > best_acc:
             best_acc = val_acc
-            best_params = params.copy()
+            keep_best()
             record.best_step = step_count
             evals_since_best = 0
         else:
             evals_since_best += 1
 
     for epoch in range(cfg.max_epochs):
-        order = _epoch_rng(cfg.seed, epoch).permutation(n)
+        order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+        Xe, ye = Xtr[order], ytr[order]
         epoch_losses = []
         if coteach:
             frac = keep_fraction(epoch, strategy.eps, strategy.ramp_epochs)
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            X = Xtr[idx]
-            y = ytr[idx]
+            X = Xe[start : start + cfg.batch_size]
+            y = ye[start : start + cfg.batch_size]
+            dirty[X.indices] = True
             if coteach:
                 probs_a, _ = _forward_batch(params, X)
                 probs_b, _ = _forward_batch(params_b, X)
                 la, _ = loss_fn.per_sample(probs_a, y)
                 lb, _ = loss_fn.per_sample(probs_b, y)
                 sel_a, sel_b = coteach_select(la, lb, frac)
-                params, _ = step(params, Batch(X[sel_a], y[sel_a]), cfg.lr, loss_fn)
-                params_b, _ = step(params_b, Batch(X[sel_b], y[sel_b]), cfg.lr, loss_fn)
+                step(params, X[sel_a], y[sel_a], cfg.lr, loss_fn)
+                step(params_b, X[sel_b], y[sel_b], cfg.lr, loss_fn)
                 mean_loss = float(np.mean(la))
             else:
-                params, mean_loss = step(params, Batch(X, y), cfg.lr, loss_fn)
+                mean_loss = step(params, X, y, cfg.lr, loss_fn)
             step_count += 1
             loss_acc.append(mean_loss)
             epoch_losses.append(mean_loss)
@@ -189,23 +191,20 @@ def train(
         if no_validation:
             if prev_epoch_loss is not None and prev_epoch_loss - epoch_loss < cfg.convergence_tol:
                 flat_epochs += 1
-                if flat_epochs >= 2:
-                    stop = True
             else:
                 flat_epochs = 0
             prev_epoch_loss = epoch_loss
-            if stop:
+            if flat_epochs >= 2:
                 break
 
     if not record.entries or record.entries[-1].step != step_count:
         run_eval()
     record.final_step = step_count
-    final_params = params
     if no_validation:
         # last-epoch performance is the reported one; best coincides with final
         record.best_step = record.final_step
-        best_params = final_params.copy()
-    return record, best_params, final_params
+        keep_best()
+    return record, best_params, params
 
 
 def compare_val_policies(

@@ -5,6 +5,7 @@ import pytest
 
 import noisylab as nl
 from noisylab.data import Dataset, Example
+from noisylab.model import _forward_batch
 
 
 def keyword_corpus(k=4, n=3000, ambiguous_frac=0.3, words_per_class=40, seed=0):
@@ -74,6 +75,25 @@ def dense_probs(p, row):
 def row_loss(loss_fn, probs, label):
     """Per-sample loss of one example under a vectorized loss functional."""
     return float(loss_fn.per_sample(np.asarray(probs)[None, :], np.array([label]))[0][0])
+
+
+def dense_reference_step(p, X, labels, lr, loss_fn):
+    """The SGD step in dense arithmetic: the full (dims, h) gradient ``X.T @ dZ``
+    and a new array ``w - lr*g`` for every block. Returns (new params, mean
+    loss) and leaves ``p`` as it was."""
+    n = X.shape[0]
+    probs, H = _forward_batch(p, X)
+    losses, dlogits = loss_fn.per_sample(probs, labels)
+    dZ = dlogits / n
+    if p.arch == "linear":
+        grads = {"w1": X.T @ dZ, "b1": dZ.sum(axis=0)}
+    else:
+        dZ1 = (dZ @ p.w2.T) * (1.0 - H * H)
+        grads = {"w1": X.T @ dZ1, "b1": dZ1.sum(axis=0), "w2": H.T @ dZ, "b2": dZ.sum(axis=0)}
+    if hasattr(loss_fn, "sgd_update"):
+        loss_fn.sgd_update(lr)
+    new_p = dataclasses.replace(p, **{name: getattr(p, name) - lr * g for name, g in grads.items()})
+    return new_p, float(np.mean(losses))
 
 
 @pytest.fixture

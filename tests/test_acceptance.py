@@ -13,7 +13,6 @@ import yaml
 import noisylab as nl
 from noisylab.cli import main as cli_main
 from noisylab.model import CrossEntropy, SmoothedCrossEntropy, softmax, step
-from noisylab.model import Batch
 from noisylab.strategies import NMatCorrectedCE, NMwRTrainableLoss
 from conftest import keyword_corpus, keyword_rules, mann_whitney_auc, with_noise
 
@@ -203,8 +202,9 @@ def test_criterion_4_strategy_degeneracy_identities():
     X = feature_matrix(tr)[:32]
     y = tr.noisy_labels[:32]
     p0 = nl.init_params(tr.dims, 4, seed=44)
-    p_ce, _ = step(p0, Batch(X, y), lr=1.0, loss_fn=CrossEntropy())
-    p_nmwr, _ = step(p0, Batch(X, y), lr=1.0, loss_fn=NMwRTrainableLoss(4, 0.0))
+    p_ce, p_nmwr = p0.copy(), p0.copy()
+    step(p_ce, X, y, lr=1.0, loss_fn=CrossEntropy())
+    step(p_nmwr, X, y, lr=1.0, loss_fn=NMwRTrainableLoss(4, 0.0))
     ok_nmwr = (
         np.max(np.abs(p_ce.w1 - p_nmwr.w1)) <= 1e-12
         and np.max(np.abs(p_ce.b1 - p_nmwr.b1)) <= 1e-12

@@ -418,9 +418,17 @@ def _snapshot(tmp_path, cut):
          ["report", "{t}/out", "--output", "{t}/no_dir/report.csv"], 1, "no_dir"),
         (lambda t: _summaries(t, _SUMMARY, _SUMMARY, '{"strategy": "vanilla", "tr'),
          ["report", "{t}/out"], 0, "skipping unreadable run"),
+        (lambda t: _summaries(t, _SUMMARY, _SUMMARY, "{}"),
+         ["report", "{t}/out"], 0, "skipping unreadable run"),
+        (lambda t: _summaries(t, _SUMMARY, _SUMMARY, "[]"),
+         ["report", "{t}/out"], 0, "skipping unreadable run"),
+        (lambda t: (_snapshot(t, lambda b: b),
+                    (t / "out" / "vanilla" / "trial_0" / "summary.json").write_text("{}")),
+         ["diagnose", "{t}/out/vanilla/trial_0"], 1, "summary.json"),
     ],
     ids=["diagnose_bins_0", "snapshot_not_zip", "snapshot_truncated",
-         "report_output_dir_missing", "report_summary_truncated"],
+         "report_output_dir_missing", "report_summary_truncated",
+         "report_summary_empty_mapping", "report_summary_list", "diagnose_summary_empty_mapping"],
 )
 def test_report_diagnose_bad_input_one_line(tmp_path, setup, argv, code, expected):
     setup(tmp_path)

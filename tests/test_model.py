@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noisylab as nl
 from noisylab.errors import ConfigError, NumericError, ShapeError
 from noisylab.model import (
-    Batch,
     CrossEntropy,
     Params,
     SmoothedCrossEntropy,
@@ -18,18 +19,20 @@ from noisylab.model import (
     softmax,
     step,
 )
-from conftest import dense_probs, row_loss
+from noisylab.strategies import NMatCorrectedCE, NMwRTrainableLoss
+from conftest import dense_probs, dense_reference_step, row_loss
 
 
 def _random_batch(rng, n, dims, k):
     X = sp.csr_matrix(rng.random((n, dims)))
     y = rng.integers(0, k, n)
-    return Batch(X, y)
+    return X, y
 
 
 def _batch_loss(p, batch, loss_fn):
-    probs, _ = _forward_batch(p, batch.X)
-    losses, _ = loss_fn.per_sample(probs, batch.labels)
+    X, y = batch
+    probs, _ = _forward_batch(p, X)
+    losses, _ = loss_fn.per_sample(probs, y)
     return float(np.mean(losses))
 
 
@@ -43,7 +46,8 @@ def _flatten(p):
 def fd_gradcheck(p, batch, loss_fn, h=1e-6, rel_tol=1e-5):
     """Analytic parameter gradient (recovered from a unit SGD step) vs central
     finite differences of the mean batch loss."""
-    new_p, _ = step(p, batch, lr=1.0, loss_fn=loss_fn)
+    new_p = p.copy()
+    step(new_p, *batch, lr=1.0, loss_fn=loss_fn)
     for name, arr in _flatten(p):
         analytic = arr - getattr(new_p, name)
         numeric = np.zeros_like(arr)
@@ -151,7 +155,8 @@ class TestGradStep:
         rng = np.random.default_rng(6)
         p = nl.init_params(5, 3, seed=7)
         batch = _random_batch(rng, 4, 5, 3)
-        q, _ = step(p, batch, lr=0.0)
+        q = p.copy()
+        step(q, *batch, lr=0.0)
         assert np.array_equal(q.w1, p.w1) and np.array_equal(q.b1, p.b1)
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
@@ -171,19 +176,84 @@ class TestGradStep:
         from noisylab.data import feature_matrix
 
         X = feature_matrix(tr)
-        batch = Batch(X, tr.noisy_labels)
         p = nl.init_params(tr.dims, 2, seed=13)
         losses = []
         for _ in range(50):
-            p, loss = step(p, batch, lr=1.0)
+            loss = step(p, X, tr.noisy_labels, lr=1.0)
             losses.append(loss)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_non_finite_gradient_names_block(self):
         p = Params(arch="linear", dims=2, k=2, w1=np.full((2, 2), 1e308), b1=np.zeros(2))
         X = sp.csr_matrix(np.array([[1e308, 0.0]]))
+        before = p.copy()
         with pytest.raises(NumericError):
-            step(p, Batch(X, np.array([0])), lr=0.1)
+            step(p, X, np.array([0]), lr=0.1)
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(_flatten(p), _flatten(before)))
+
+    def test_non_finite_w1_gradient_leaves_params_unchanged(self):
+        # A duplicated column entry keeps the forward pass finite, but its two
+        # contributions to the w1 gradient overflow.
+        w1 = np.zeros((3, 2))
+        w1[1, 0] = 0.01
+        p = Params(arch="linear", dims=3, k=2, w1=w1, b1=np.zeros(2))
+        X = sp.csr_matrix((np.full(2, 1.5e308), np.array([1, 1]), np.array([0, 2])), shape=(1, 3))
+        before = p.copy()
+        with pytest.raises(NumericError, match="w1"):
+            step(p, X, np.array([1]), lr=0.1)
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(_flatten(p), _flatten(before)))
+
+
+@st.composite
+def _sparse_batches(draw):
+    """A small CSR batch with labels and a nonempty sorted row subset. Rows may
+    be empty, share a column or repeat one; some columns may go unused."""
+    n = draw(st.integers(1, 6))
+    dims = draw(st.integers(1, 10))
+    k = draw(st.integers(2, 4))
+    entry = st.tuples(st.integers(0, dims - 1), st.floats(-2.0, 2.0))
+    rows = [draw(st.lists(entry, max_size=5)) for _ in range(n)]
+    flat = [e for row in rows for e in row]
+    X = sp.csr_matrix(
+        (
+            np.array([v for _, v in flat], dtype=np.float64),
+            np.array([c for c, _ in flat], dtype=np.int32),
+            np.cumsum([0] + [len(row) for row in rows]),
+        ),
+        shape=(n, dims),
+    )
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    sel = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    return X, labels, sel, k
+
+
+_LOSSES = {
+    "ce": lambda k: CrossEntropy(),
+    "ls": lambda k: SmoothedCrossEntropy(0.2),
+    "nmat": lambda k: NMatCorrectedCE(nl.uniform_matrix(k, 0.3)),
+    "nmwr": lambda k: NMwRTrainableLoss(k, 1e-3),
+}
+
+
+@pytest.mark.parametrize("loss", sorted(_LOSSES))
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+@given(batch=_sparse_batches(), seed=st.integers(0, 2**16), lr=st.floats(0.01, 0.5))
+@settings(max_examples=60, deadline=None)
+def test_step_equals_dense_reference_bitwise(arch, loss, batch, seed, lr):
+    """The in-place touched-row step and the dense step give the same bits: a
+    full batch, then a row subset of it as co-teaching passes."""
+    X, labels, sel, k = batch
+    p = nl.init_params(X.shape[1], k, seed, arch=arch, hidden=3)
+    ref = p.copy()
+    loss_fn, ref_loss_fn = _LOSSES[loss](k), _LOSSES[loss](k)
+    for Xb, yb in ((X, labels), (X[sel], labels[sel])):
+        mean = step(p, Xb, yb, lr, loss_fn)
+        ref, ref_mean = dense_reference_step(ref, Xb, yb, lr, ref_loss_fn)
+        assert mean == ref_mean
+        for (name, a), (_, b) in zip(_flatten(p), _flatten(ref)):
+            assert a.tobytes() == b.tobytes(), name
+        if loss == "nmwr":
+            assert loss_fn.M.tobytes() == ref_loss_fn.M.tobytes()
 
 
 class TestEvaluate:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import noisylab as nl
+from noisylab import trainer
 from noisylab.errors import ConfigError
 from conftest import with_noise
 
@@ -73,6 +74,29 @@ class TestTrain:
         strat = nl.CoTeaching(eps=0.4, ramp_epochs=2)
         rec, best, _ = nl.train(tr, va, te, strat, _cfg(max_epochs=3))
         assert rec.best_entry.val_acc == nl.evaluate(best, va, "noisy")
+
+    @pytest.mark.parametrize(
+        "strategy", [nl.Vanilla(), nl.CoTeaching(eps=0.4, ramp_epochs=2)], ids=["vanilla", "coteaching"]
+    )
+    def test_best_is_params_at_best_step(self, small_noisy_splits, monkeypatch, strategy):
+        after = {}  # id of each network -> a copy of its parameters after each step
+        real_step = trainer.step
+
+        def recording_step(p, *args, **kwargs):
+            loss = real_step(p, *args, **kwargs)
+            after.setdefault(id(p), []).append(p.copy())
+            return loss
+
+        monkeypatch.setattr(trainer, "step", recording_step)
+        tr, va, te = small_noisy_splits
+        cfg = _cfg(max_epochs=3, eval_every=2, arch="mlp", hidden=8)
+        rec, best, _ = nl.train(tr, va, te, strategy, cfg)
+        accs = [e.val_acc for e in rec.entries]
+        gains = [i for i, a in enumerate(accs) if a > max(accs[:i], default=-1.0)]
+        assert len(gains) >= 2 and rec.best_step < rec.final_step
+        at_best = next(iter(after.values()))[rec.best_step - 1]  # net A steps first
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(best, name).tobytes() == getattr(at_best, name).tobytes(), name
 
     def test_nmwr_runs(self, small_noisy_splits):
         tr, va, te = small_noisy_splits
