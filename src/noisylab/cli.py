@@ -52,15 +52,17 @@ def _check_keys(block, allowed, where: str) -> None:
 
 def _typed(value, tp, what: str):
     """A config value converted to ``tp``. A bool or str field takes only its
-    own type, no other field takes a bool, and an int field rejects a
-    fractional number."""
+    own type, no other field takes a bool, an int field rejects a fractional
+    or infinite number, and a float field rejects NaN and infinity."""
     try:
         out = tp(value)
         if (tp is bool) != isinstance(value, bool) or (tp is int and out != float(value)):
             raise ValueError
         if tp is str and not isinstance(value, str):
             raise ValueError
-    except (TypeError, ValueError):
+        if tp is float and not np.isfinite(out):
+            raise ConfigError(f"{what} must be finite, got {value!r}")
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be {tp.__name__}, got {value!r}") from None
     return out
 
@@ -258,9 +260,17 @@ def cmd_run(args) -> int:
     return run_sweep(*sweep)
 
 
-# The summary.json fields report and diagnose read, with their types.
-_SUMMARY_FIELDS = {"strategy": str, "best_test_acc": (int, float), "final_test_acc": (int, float)}
-_DIAGNOSE_FIELDS = {**_SUMMARY_FIELDS, "best_val_acc": (int, float)}
+# The summary.json fields report and diagnose read, with the JSON types each
+# may take: a bool is not a number, and auc is missing or null when the ROC
+# was degenerate.
+_NUMBER = (int, float)
+_SUMMARY_FIELDS = {
+    "strategy": (str,),
+    "best_test_acc": _NUMBER,
+    "final_test_acc": _NUMBER,
+    "auc": (*_NUMBER, type(None)),
+}
+_DIAGNOSE_FIELDS = {**_SUMMARY_FIELDS, "best_val_acc": _NUMBER}
 
 
 def _read_summary(path: Path, fields: dict = _SUMMARY_FIELDS) -> dict:
@@ -269,7 +279,7 @@ def _read_summary(path: Path, fields: dict = _SUMMARY_FIELDS) -> dict:
     except ValueError as e:  # a truncated or garbled summary
         raise ParseError(f"{path}: {e}") from None
     if not isinstance(summary, dict) or not all(
-        isinstance(summary.get(key), tp) for key, tp in fields.items()
+        type(summary.get(key)) in types for key, types in fields.items()
     ):
         raise ParseError(f"{path}: not a run summary with {', '.join(fields)}")
     return summary

@@ -32,8 +32,9 @@ class TransitionMatrix:
         object.__setattr__(self, "rows", rows)
         if rows.shape != (self.k, self.k):
             raise ShapeError(f"expected shape ({self.k},{self.k}), got {rows.shape}")
-        if np.any(rows < 0) or np.any(rows > 1):
-            i = int(np.argmax(np.any((rows < 0) | (rows > 1), axis=1)))
+        outside = ~((rows >= 0) & (rows <= 1))  # NaN is outside too
+        if np.any(outside):
+            i = int(np.argmax(np.any(outside, axis=1)))
             raise DomainError(f"row {i} has an entry outside [0,1]")
         sums = rows.sum(axis=1)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL

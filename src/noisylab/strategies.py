@@ -2,10 +2,10 @@
 
 Each strategy builds its own loss functional with ``loss(k)``. Vanilla and
 NoValidation train on plain CE; NMat composes the model's output with a fixed
-transition matrix before the CE; NMwR learns an unconstrained matrix jointly
-with the classifier under an L2 penalty; CoTeaching cross-selects small-loss
-samples between two networks; LabelSmoothing mixes the one-hot target with a
-uniform vector.
+transition matrix before the CE; NMwR does the same with a row-stochastic
+matrix learned jointly with the classifier under an L2 penalty; CoTeaching
+cross-selects small-loss samples between two networks; LabelSmoothing mixes
+the one-hot target with a uniform vector.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .model import PROB_CLAMP, CrossEntropy, SmoothedCrossEntropy
 from .noise import TransitionMatrix
 
@@ -98,23 +98,22 @@ class NMatCorrectedCE:
     """Loss functional for NMat; gradient flows through probs only."""
 
     def __init__(self, T: TransitionMatrix):
-        self.T = T.rows
+        self.M = T.rows
 
     def per_sample(self, probs: np.ndarray, labels: np.ndarray):
-        # A[n, i] = T[i, y_n]; q_y reduces to probs[y] exactly when T = I,
+        # A[n, i] = M[i, y_n]; q_y reduces to probs[y] exactly when M = I,
         # which keeps the NMat(identity) trajectory bitwise equal to Vanilla.
-        A = self.T[:, labels].T
+        A = self.M[:, labels].T
         qy = np.maximum((probs * A).sum(axis=1), PROB_CLAMP)
         losses = -np.log(qy)
         G = probs - (probs * A) / qy[:, None]
         return losses, G
 
 
-class NMwRTrainableLoss:
-    """Loss functional for NMwR; carries the learned matrix M as state.
-
-    M starts at identity and is updated by the same SGD step as the model.
-    """
+class NMwRTrainableLoss(NMatCorrectedCE):
+    """Loss functional for NMwR: NMat's corrected CE over a learned matrix M,
+    plus lam*||M||^2. After each SGD step every row of M is projected onto the
+    probability simplex (Sukhbaatar et al., 2015), so M stays row-stochastic."""
 
     def __init__(self, k: int, lam: float):
         self.M = np.eye(k)
@@ -122,31 +121,31 @@ class NMwRTrainableLoss:
         self._dM = None
 
     def per_sample(self, probs: np.ndarray, labels: np.ndarray):
-        n, k = probs.shape
-        idx = np.arange(n)
-        U = probs @ self.M
-        dead = np.all(U < PROB_CLAMP, axis=1)
-        if np.any(dead):
-            raise NumericError(
-                f"noisy head output fully clamped for sample {int(np.argmax(dead))}"
-            )
-        Uc = np.maximum(U, PROB_CLAMP)
-        S = Uc.sum(axis=1)
-        qy = np.maximum(Uc[idx, labels] / S, PROB_CLAMP)
-        frob = float((self.M * self.M).sum())
-        losses = -np.log(qy) + self.lam * frob
-        active = (U >= PROB_CLAMP).astype(np.float64)
-        dU = active / S[:, None]
-        dU[idx, labels] -= active[idx, labels] / Uc[idx, labels]
-        Gp = dU @ self.M.T
-        dlogits = probs * (Gp - (probs * Gp).sum(axis=1, keepdims=True))
-        self._dM = probs.T @ dU / n + 2.0 * self.lam * self.M
-        return losses, dlogits
+        losses, dlogits = super().per_sample(probs, labels)
+        # d(-log q_y)/dM[i, y] = -probs[i] / q_y, and q_y = exp(-loss)
+        dq = np.zeros_like(probs)
+        dq[np.arange(len(labels)), labels] = -np.exp(losses)
+        self._dM = probs.T @ dq / len(labels) + 2.0 * self.lam * self.M
+        return losses + self.lam * float((self.M * self.M).sum()), dlogits
 
     def sgd_update(self, lr: float) -> None:
         if self._dM is not None:
-            self.M = self.M - lr * self._dM
+            self.M = project_rows_to_simplex(self.M - lr * self._dM)
             self._dM = None
+
+
+def project_rows_to_simplex(V: np.ndarray) -> np.ndarray:
+    """The Euclidean projection of each row of ``V`` onto the probability
+    simplex, by the sort-based algorithm (Wang & Carreira-Perpinan, 2013)."""
+    # Shifting a row leaves its projection as it is; shifting by the max keeps
+    # each sum exact when V holds huge entries (from a q_y under the clamp).
+    V = V - V.max(axis=1, keepdims=True)
+    U = -np.sort(-V, axis=1)
+    css = np.cumsum(U, axis=1) - 1.0
+    # rho: how many of the largest entries stay above theta
+    rho = np.count_nonzero(U * np.arange(1, V.shape[1] + 1) > css, axis=1)
+    theta = css[np.arange(len(V)), rho - 1] / rho
+    return np.maximum(V - theta[:, None], 0.0)
 
 
 def keep_fraction(epoch: int, eps: float, ramp_epochs: int) -> float:

@@ -57,6 +57,13 @@ def _rules_on_text(c, **noise):
     c["noise"] = {"type": "rules", "rules": str(root / "rules.jsonl"), **noise}
 
 
+def _nan_matrix_csv(c):
+    """A 3x3 noise-matrix CSV beside config ``c`` whose class-0 row is NaN."""
+    path = Path(c["output_dir"]).parent / "nan.csv"
+    path.write_text("nan,nan,nan\n0,1,0\n0,0,1\n")
+    return str(path)
+
+
 def _cli(*argv):
     """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
     src = str(Path(nl.__file__).resolve().parents[1])
@@ -103,6 +110,20 @@ class TestInject:
         )
         assert code == 1
         assert "row 1" in capsys.readouterr().err
+
+    def test_non_finite_matrix_names_row(self, tmp_path, capsys):
+        src = tmp_path / "clean.jsonl"
+        _write_clean_jsonl(src, n=20, k=2)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("nan,nan\n0.5,0.5\n")
+        code = main(
+            ["inject", "--input", str(src), "--output", str(tmp_path / "o.jsonl"),
+             "--k", "2", "--type", "matrix", "--matrix", str(bad)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "row 0" in err[0]
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_conflicting_flags_usage_error(self, tmp_path):
         src = tmp_path / "clean.jsonl"
@@ -224,12 +245,20 @@ class TestRun:
             (lambda c: _rules_on_text(c, abstain_to_clean="false"), 2),
             (lambda c: _rules_on_text(c, abstain_to_clean=False), 0),
             (lambda c: c.update(output_dir=3), 2),
+            (lambda c: c["train"].update(lr=float("nan")), 2),
+            (lambda c: c["train"].update(lr=float("inf")), 2),
+            (lambda c: c["strategies"].append({"name": "nmwr", "lam": float("nan")}), 2),
+            (lambda c: (c["strategies"].append({"name": "no_validation"}),
+                        c["train"].update(convergence_tol=float("nan"))), 2),
+            (lambda c: c["train"].update(max_epochs=float("inf")), 2),
+            (lambda c: c.update(noise={"type": "matrix", "matrix": _nan_matrix_csv(c)}), 2),
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
              "synth_without_k", "split_train_x", "split_sum_0.7", "trials_abc",
              "dataset_3", "split_5", "noise_list", "split_val_0", "abstain_string_false",
-             "abstain_false", "output_dir_3"],
+             "abstain_false", "output_dir_3", "lr_nan", "lr_inf", "lam_nan",
+             "convergence_tol_nan", "max_epochs_inf", "noise_matrix_nan"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, edit, code):
         cfg = _small_config(tmp_path, trials=1)
@@ -425,10 +454,16 @@ def _snapshot(tmp_path, cut):
         (lambda t: (_snapshot(t, lambda b: b),
                     (t / "out" / "vanilla" / "trial_0" / "summary.json").write_text("{}")),
          ["diagnose", "{t}/out/vanilla/trial_0"], 1, "summary.json"),
+        (lambda t: _summaries(t, _SUMMARY, _SUMMARY, _SUMMARY.replace('"auc": 0.7', '"auc": "x"')),
+         ["report", "{t}/out"], 0, "skipping unreadable run"),
+        (lambda t: _summaries(
+            t, _SUMMARY, _SUMMARY, _SUMMARY.replace('"best_test_acc": 0.9', '"best_test_acc": true')
+        ), ["report", "{t}/out"], 0, "skipping unreadable run"),
     ],
     ids=["diagnose_bins_0", "snapshot_not_zip", "snapshot_truncated",
          "report_output_dir_missing", "report_summary_truncated",
-         "report_summary_empty_mapping", "report_summary_list", "diagnose_summary_empty_mapping"],
+         "report_summary_empty_mapping", "report_summary_list", "diagnose_summary_empty_mapping",
+         "report_summary_auc_string", "report_summary_acc_bool"],
 )
 def test_report_diagnose_bad_input_one_line(tmp_path, setup, argv, code, expected):
     setup(tmp_path)

@@ -262,3 +262,10 @@ class TestMatrixIO:
         path.write_text("0.5,0.5\n0.9,0.9\n")
         with pytest.raises(DomainError, match="row 1"):
             nl.TransitionMatrix.load_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,nan", "nan,1"])
+    def test_non_finite_names_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.5,0.5\n{row}\n")
+        with pytest.raises(DomainError, match="row 1"):
+            nl.TransitionMatrix.load_csv(path)

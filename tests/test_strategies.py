@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noisylab as nl
 from noisylab.errors import DomainError, ShapeError
 from noisylab.model import CrossEntropy, softmax
-from noisylab.strategies import NMatCorrectedCE, NMwRTrainableLoss
+from noisylab.strategies import NMatCorrectedCE, NMwRTrainableLoss, project_rows_to_simplex
 from conftest import row_loss
 
 
@@ -78,7 +80,9 @@ class TestNmwrLoss:
         for _ in range(10):
             z = rng.normal(size=(1, 3)) * 2
             probs = softmax(z)[0]
-            M = np.eye(3) + rng.normal(scale=0.1, size=(3, 3))
+            # row-stochastic, as training keeps M; entries >= 0.02 keep q_y
+            # off the clamp and the finite differences accurate
+            M = 0.94 * rng.dirichlet(np.ones(3), size=3) + 0.02
             y = int(rng.integers(0, 3))
             lam = 0.01
             fn = _nmwr(M, lam)
@@ -106,10 +110,39 @@ class TestNmwrLoss:
         loss_fn = NMwRTrainableLoss(k=3, lam=10.0)
         probs = softmax(np.random.default_rng(4).normal(size=(8, 3)))
         labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
-        before = np.abs(loss_fn.M).sum()
+        before = np.linalg.norm(loss_fn.M)
         loss_fn.per_sample(probs, labels)
         loss_fn.sgd_update(0.01)
-        assert np.abs(loss_fn.M).sum() < before
+        assert np.linalg.norm(loss_fn.M) < before
+
+
+@st.composite
+def _matrices(draw):
+    """Small matrices, some rows shifted as far as a step on a clamped q_y
+    moves a row of M."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.floats(-10, 10), min_size=n * k, max_size=n * k))
+    shifts = draw(st.lists(st.just(0.0) | st.floats(-1e12, 1e12), min_size=n, max_size=n))
+    return np.array(entries).reshape(n, k) + np.array(shifts)[:, None]
+
+
+@given(V=_matrices(), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_projection_is_the_nearest_simplex_point(V, seed):
+    P = project_rows_to_simplex(V)
+    assert np.all(P >= 0)
+    assert np.all(np.abs(P.sum(axis=1) - 1.0) <= 1e-12)
+    rng = np.random.default_rng(seed)
+    k = V.shape[1]
+    for v, p in zip(V, P):
+        # dense, sparse and near-uniform simplex points, and points on the
+        # segments from p towards each vertex, the vertices included
+        Q = np.vstack(
+            [rng.dirichlet(np.full(k, a), size=100) for a in (0.1, 1.0, 10.0)]
+            + [p + t * (np.eye(k) - p) for t in (1e-3, 0.1, 1.0)]
+        )
+        nearest = np.linalg.norm(p - v)
+        assert np.all(np.linalg.norm(Q - v, axis=1) >= nearest * (1 - 1e-12) - 1e-12)
 
 
 class TestKeepFraction:

@@ -103,6 +103,30 @@ class TestTrain:
         rec, _, _ = nl.train(tr, va, te, nl.NMwR(lam=1e-3), _cfg(max_epochs=3))
         assert rec.entries
 
+    def test_nmwr_matrix_stays_row_stochastic(self, monkeypatch):
+        # An unconstrained M drove a whole row of probs @ M under the clamp at
+        # step 207 of this run, which then ended in NumericError.
+        real_step = trainer.step
+        steps = []
+
+        def checked_step(p, X, y, lr, loss_fn):
+            loss = real_step(p, X, y, lr, loss_fn)
+            assert np.all(loss_fn.M >= 0), len(steps)
+            assert np.all(np.abs(loss_fn.M.sum(axis=1) - 1.0) <= 1e-12), len(steps)
+            steps.append(loss)
+            return loss
+
+        monkeypatch.setattr(trainer, "step", checked_step)
+        ds = nl.synth_dataset(k=4, n=4000, margin=0.7, seed=1560023975)
+        tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=2025197565))
+        tr = with_noise(tr, 0.4, seed=1892783322)
+        va = with_noise(va, 0.4, seed=1892783323)
+        cfg = nl.TrainConfig(
+            lr=0.5, batch_size=32, max_epochs=3, eval_every=100, seed=1098067558, arch="mlp"
+        )
+        rec, _, _ = nl.train(tr, va, te, nl.NMwR(lam=1e-4), cfg)
+        assert rec.final_step == len(steps) == 300
+
 
 class TestCompareValPolicies:
     def test_zero_noise_gap_is_zero(self):
