@@ -23,7 +23,7 @@ from .noise import (
     single_flip_matrix,
     uniform_matrix,
 )
-from .model import Params, evaluate, init_params
+from .model import Params, init_params
 from .strategies import (
     CoTeaching,
     LabelSmoothing,
@@ -57,7 +57,6 @@ __all__ = [
     "single_flip_matrix",
     "uniform_matrix",
     "Params",
-    "evaluate",
     "init_params",
     "CoTeaching",
     "LabelSmoothing",

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import os
 import sys
 import typing
 import zipfile
@@ -113,9 +114,14 @@ def _build_dataset(cfg: dict):
         if "path" in ds_cfg:
             raise ConfigError("dataset: give either synth or path, not both")
         _check_keys(ds_cfg["synth"], ("k", "n", "margin", "seed", "dims"), "dataset.synth")
+        hints = typing.get_type_hints(data_mod.synth_dataset)
+        synth = {
+            key: _typed(value, hints[key], f"dataset.synth: {key}")
+            for key, value in ds_cfg["synth"].items()
+        }
         try:
-            ds = data_mod.synth_dataset(**ds_cfg["synth"])
-        except TypeError as e:  # a missing or mistyped parameter
+            ds = data_mod.synth_dataset(**synth)
+        except TypeError as e:  # a missing parameter
             raise ConfigError(f"dataset.synth: {e}") from None
     else:
         if "path" not in ds_cfg or "k" not in ds_cfg:
@@ -210,13 +216,16 @@ def cmd_inject(args) -> int:
 
 def run_sweep(splits, strategies, base_cfg, trials: int, out_root: Path) -> int:
     """Train every strategy x trial of a built sweep (see ``load_config``) and
-    write artifacts; returns exit code."""
+    write artifacts; returns exit code. A run's ``summary.json`` is removed
+    before it trains and written last, so only a finished run has one."""
     train_ds, val_ds, test_ds = splits
     failures = 0
     for strategy in strategies:
         for trial in range(trials):
             run_dir = out_root / strategy.name / f"trial_{trial}"
             run_dir.mkdir(parents=True, exist_ok=True)
+            for stale in (run_dir / "summary.json", run_dir / FAILURE_MARKER):
+                stale.unlink(missing_ok=True)
             tcfg = dataclasses.replace(base_cfg, seed=base_cfg.seed + trial)
             try:
                 record, best_p, final_p = trainer_mod.train(
@@ -238,12 +247,10 @@ def run_sweep(splits, strategies, base_cfg, trials: int, out_root: Path) -> int:
                     summary["auc"] = diag_mod.roc(snap).auc
                 except DegenerateClassError:
                     summary["auc"] = None
-                with open(run_dir / "summary.json", "w", encoding="utf-8") as f:
-                    json.dump(summary, f, indent=2, sort_keys=True)
-                    f.write("\n")
-                marker = run_dir / FAILURE_MARKER
-                if marker.exists():
-                    marker.unlink()
+                text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+                tmp = run_dir / "summary.json.tmp"
+                tmp.write_text(text, encoding="utf-8")
+                os.replace(tmp, run_dir / "summary.json")
             except NoisyLabError as e:
                 (run_dir / FAILURE_MARKER).write_text(str(e) + "\n", encoding="utf-8")
                 print(f"run {strategy.name}/trial_{trial} failed: {e}", file=sys.stderr)

@@ -115,6 +115,8 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"split seed must be non-negative, got {self.seed}")
         if any(f < 0 for f in self.fractions):
             raise DomainError("split fractions must be non-negative")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
@@ -237,6 +239,8 @@ def synth_dataset(
         raise DomainError(f"margin must be in (0,1], got {margin}")
     if n < k:
         raise SizeError(f"need n >= k, got n={n}, k={k}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     if dims < 2 * k * proto_size:
         raise ConfigError("dims too small for the requested prototypes")
     rng = np.random.default_rng(seed)

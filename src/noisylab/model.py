@@ -7,70 +7,52 @@ plain SGD consumes the mean-batch gradient. All randomness is seeded.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset, feature_matrix
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ParseError, ShapeError
 
 PROB_CLAMP = 1e-12
 INIT_SCALE = 0.05
+ARCHS = ("linear", "mlp")
 
 
 @dataclass(frozen=True)
 class Params:
-    """Classifier weights. ``linear``: w1 is (dims, k). ``mlp``: w1 (dims, h),
-    w2 (h, k). ``step`` updates the arrays in place; ``train`` returns
-    parameters whose arrays it owns."""
+    """Classifier weights. A linear model is w1 (dims, k) and b1; an MLP is
+    w1 (dims, h), b1, w2 (h, k) and b2. ``step`` updates the arrays in place;
+    ``train`` returns parameters whose arrays it owns."""
 
-    arch: str
-    dims: int
-    k: int
     w1: np.ndarray
     b1: np.ndarray
-    hidden: int | None = None
     w2: np.ndarray | None = None
     b2: np.ndarray | None = None
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The arrays that are set, by field name."""
+        return {name: a for name, a in vars(self).items() if a is not None}
+
     def copy(self) -> "Params":
-        return dataclasses.replace(
-            self,
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=None if self.w2 is None else self.w2.copy(),
-            b2=None if self.b2 is None else self.b2.copy(),
-        )
+        return Params(**{name: a.copy() for name, a in self.arrays().items()})
 
 
 def init_params(
     dims: int, k: int, seed: int, arch: str = "linear", hidden: int = 64
 ) -> Params:
-    """Seeded uniform init in [-0.05, 0.05]."""
+    """Seeded uniform init in [-0.05, 0.05]; each layer draws its weights,
+    then its bias."""
+    if arch not in ARCHS:
+        raise ConfigError(f"unknown architecture {arch!r}")
+    sizes = [dims, k] if arch == "linear" else [dims, hidden, k]
     rng = np.random.default_rng(seed)
-    if arch == "linear":
-        return Params(
-            arch="linear",
-            dims=dims,
-            k=k,
-            w1=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(dims, k)),
-            b1=rng.uniform(-INIT_SCALE, INIT_SCALE, size=k),
-        )
-    if arch == "mlp":
-        return Params(
-            arch="mlp",
-            dims=dims,
-            k=k,
-            hidden=hidden,
-            w1=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(dims, hidden)),
-            b1=rng.uniform(-INIT_SCALE, INIT_SCALE, size=hidden),
-            w2=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden, k)),
-            b2=rng.uniform(-INIT_SCALE, INIT_SCALE, size=k),
-        )
-    raise ConfigError(f"unknown architecture {arch!r}")
+    arrays = []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        arrays.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(fan_in, fan_out)))
+        arrays.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=fan_out))
+    return Params(*arrays)
 
 
 def softmax(Z: np.ndarray) -> np.ndarray:
@@ -82,9 +64,9 @@ def softmax(Z: np.ndarray) -> np.ndarray:
 
 def _forward_batch(p: Params, X: sp.csr_matrix):
     """Returns (probs, hidden activations or None)."""
-    if X.shape[1] != p.dims:
-        raise ShapeError(f"input dims {X.shape[1]} != model dims {p.dims}")
-    if p.arch == "linear":
+    if X.shape[1] != p.w1.shape[0]:
+        raise ShapeError(f"input dims {X.shape[1]} != model dims {p.w1.shape[0]}")
+    if p.w2 is None:
         Z = X @ p.w1 + p.b1
         H = None
     else:
@@ -144,7 +126,7 @@ def step(p: Params, X: sp.csr_matrix, labels: np.ndarray, lr: float, loss_fn=Non
     # same order as X.T, so each touched row's gradient sums bitwise as X.T's.
     cols, inv = np.unique(X.indices, return_inverse=True)
     XcT = sp.csc_matrix((X.data, inv, X.indptr), shape=(len(cols), n))
-    if p.arch == "linear":
+    if p.w2 is None:
         grads = {"w1": XcT @ dZ, "b1": dZ.sum(axis=0)}
     else:
         dZ1 = (dZ @ p.w2.T) * (1.0 - H * H)
@@ -167,38 +149,15 @@ def accuracy(p: Params, X: sp.csr_matrix, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
-def evaluate(p: Params, ds: Dataset, use: str = "clean") -> float:
-    """Accuracy of argmax predictions against the selected label sequence."""
-    return accuracy(p, feature_matrix(ds), ds.labels(use))
+def save_checkpoint(p: Params, path) -> None:
+    """NPZ checkpoint of the weight arrays, by field name."""
+    np.savez(path, **p.arrays())
 
 
-def save_checkpoint(p: Params, path, extras: dict | None = None) -> None:
-    """NPZ checkpoint: a meta JSON string plus the weight arrays."""
-    meta = {"arch": p.arch, "dims": p.dims, "k": p.k, "hidden": p.hidden}
-    arrays = {"w1": p.w1, "b1": p.b1}
-    if p.arch == "mlp":
-        arrays["w2"] = p.w2
-        arrays["b2"] = p.b2
-    if extras:
-        for name, arr in extras.items():
-            arrays[f"extra_{name}"] = arr
-    np.savez(path, meta=json.dumps(meta), **arrays)
-
-
-def load_checkpoint(path) -> tuple[Params, dict]:
+def load_checkpoint(path) -> Params:
+    """The parameters ``save_checkpoint`` wrote; a file whose arrays are not
+    ``w1`` and ``b1``, or those plus ``w2`` and ``b2``, is a ``ParseError``."""
     with np.load(path, allow_pickle=False) as z:
-        meta = json.loads(str(z["meta"]))
-        extras = {
-            name[len("extra_") :]: z[name] for name in z.files if name.startswith("extra_")
-        }
-        p = Params(
-            arch=meta["arch"],
-            dims=meta["dims"],
-            k=meta["k"],
-            hidden=meta["hidden"],
-            w1=z["w1"],
-            b1=z["b1"],
-            w2=z["w2"] if meta["arch"] == "mlp" else None,
-            b2=z["b2"] if meta["arch"] == "mlp" else None,
-        )
-    return p, extras
+        if set(z.files) not in ({"w1", "b1"}, {"w1", "b1", "w2", "b2"}):
+            raise ParseError(f"{path}: not a checkpoint, holds arrays {sorted(z.files)}")
+        return Params(**{name: z[name] for name in z.files})

@@ -149,6 +149,8 @@ def inject(labels, T: TransitionMatrix, seed: int) -> np.ndarray:
     Draw i is a pure function of (seed, i), so the output is deterministic
     per (labels, T, seed) and independent of evaluation order.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) and (labels.min() < 0 or labels.max() >= T.k):
         raise DomainError("label out of range for transition matrix")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, feature_matrix
 from .errors import ConfigError
-from .model import Params, _forward_batch, accuracy, init_params, step
+from .model import ARCHS, Params, _forward_batch, accuracy, init_params, step
 from .strategies import CoTeaching, NoValidation, Strategy, coteach_select, keep_fraction
 
 
@@ -43,6 +43,12 @@ class TrainConfig:
             raise ConfigError(f"unknown val_policy {self.val_policy!r}")
         if self.convergence_tol <= 0:
             raise ConfigError("convergence_tol must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.arch not in ARCHS:
+            raise ConfigError(f"unknown arch {self.arch!r}; expected one of {ARCHS}")
+        if self.hidden < 1:
+            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ def dense_probs(p, row):
     """Independent single-example forward pass: a 1-row CSR matrix densified
     to a numpy row, through the weights, then a max-shifted softmax."""
     z = row.toarray()[0] @ p.w1 + p.b1
-    if p.arch == "mlp":
+    if p.w2 is not None:
         z = np.tanh(z) @ p.w2 + p.b2
     e = np.exp(z - z.max())
     return e / e.sum()
@@ -85,7 +85,7 @@ def dense_reference_step(p, X, labels, lr, loss_fn):
     probs, H = _forward_batch(p, X)
     losses, dlogits = loss_fn.per_sample(probs, labels)
     dZ = dlogits / n
-    if p.arch == "linear":
+    if p.w2 is None:
         grads = {"w1": X.T @ dZ, "b1": dZ.sum(axis=0)}
     else:
         dZ1 = (dZ @ p.w2.T) * (1.0 - H * H)

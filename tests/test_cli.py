@@ -13,6 +13,7 @@ import yaml
 import noisylab as nl
 from noisylab.cli import aggregate_report, load_config, main
 from noisylab.errors import ConfigError
+from noisylab.model import accuracy, load_checkpoint
 
 
 def _write_clean_jsonl(path, n=2000, k=4, seed=0):
@@ -181,6 +182,18 @@ class TestInject:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("inject:") and expected in err[0]
 
+    def test_negative_seed_one_line_failure(self, tmp_path, capsys):
+        src = tmp_path / "clean.jsonl"
+        _write_clean_jsonl(src, n=10)
+        code = main(
+            ["inject", "--input", str(src), "--output", str(tmp_path / "o.jsonl"),
+             "--k", "4", "--type", "uniform", "--level", "0.4", "--seed", "-1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("inject:") and "-1" in err[0]
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_unwritable_output_one_line_failure(self, tmp_path, capsys):
         src = tmp_path / "clean.jsonl"
         _write_clean_jsonl(src, n=10)
@@ -252,13 +265,23 @@ class TestRun:
                         c["train"].update(convergence_tol=float("nan"))), 2),
             (lambda c: c["train"].update(max_epochs=float("inf")), 2),
             (lambda c: c.update(noise={"type": "matrix", "matrix": _nan_matrix_csv(c)}), 2),
+            (lambda c: c["train"].update(seed=-1), 2),
+            (lambda c: c["split"].update(seed=-1), 2),
+            (lambda c: c["noise"].update(seed=-1), 2),
+            (lambda c: c["dataset"]["synth"].update(seed=-1), 2),
+            (lambda c: c["train"].update(arch="cnn"), 2),
+            (lambda c: c["train"].update(arch="mlp", hidden=-1), 2),
+            (lambda c: c["train"].update(arch="mlp", hidden=0), 2),
+            (lambda c: c["dataset"]["synth"].update(n=float("inf")), 2),
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
              "synth_without_k", "split_train_x", "split_sum_0.7", "trials_abc",
              "dataset_3", "split_5", "noise_list", "split_val_0", "abstain_string_false",
              "abstain_false", "output_dir_3", "lr_nan", "lr_inf", "lam_nan",
-             "convergence_tol_nan", "max_epochs_inf", "noise_matrix_nan"],
+             "convergence_tol_nan", "max_epochs_inf", "noise_matrix_nan", "train_seed_-1",
+             "split_seed_-1", "noise_seed_-1", "synth_seed_-1", "arch_cnn", "hidden_-1",
+             "hidden_0", "synth_n_inf"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, edit, code):
         cfg = _small_config(tmp_path, trials=1)
@@ -266,6 +289,7 @@ class TestRun:
         proc = _cli("run", str(_write_config(tmp_path, cfg)))
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == (code != 0), proc.stderr
 
     def test_accepted_keys_are_dataclass_fields(self, tmp_path):
         cfg = _small_config(tmp_path)
@@ -318,11 +342,9 @@ class TestRun:
         assert main(["run", str(cfg_path)]) == 0
         run_dir = tmp_path / "out" / "vanilla" / "trial_0"
         summary = json.loads((run_dir / "summary.json").read_text())
-        from noisylab.model import load_checkpoint
-
-        params, _ = load_checkpoint(run_dir / "best.npz")
+        params = load_checkpoint(run_dir / "best.npz")
         (_, _, test_ds), *_ = load_config(cfg_path)
-        assert nl.evaluate(params, test_ds, "clean") == summary["best_test_acc"]
+        assert accuracy(params, test_ds.X, test_ds.labels("clean")) == summary["best_test_acc"]
 
 
 class TestReport:
@@ -364,6 +386,24 @@ class TestReport:
         assert main(["report", str(tmp_path / "out"), "--output", str(out_csv)]) == 0
         assert "skipping failed run" in capsys.readouterr().err
         assert "vanilla" not in out_csv.read_text()
+
+    def test_failed_rerun_leaves_no_summary(self, tmp_path, capsys, monkeypatch):
+        cfg_path = _write_config(tmp_path, _small_config(tmp_path, trials=1))
+        assert main(["run", str(cfg_path)]) == 0
+        run_dir = tmp_path / "out" / "vanilla" / "trial_0"
+        assert (run_dir / "summary.json").exists()
+
+        def disk_full(p, path):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr("noisylab.model.save_checkpoint", disk_full)
+        assert main(["run", str(cfg_path)]) == 1
+        assert not (run_dir / "summary.json").exists()
+        capsys.readouterr()
+        out_csv = tmp_path / "report.csv"
+        assert main(["report", str(tmp_path / "out"), "--output", str(out_csv)]) == 0
+        rows = out_csv.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["label_smoothing"]
 
     def test_no_runs_error(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1

@@ -40,7 +40,7 @@ class TestSnapshotLosses:
         w = np.zeros((n, k))
         for i, y in enumerate(ds.noisy_labels):
             w[i, y] = 1e6
-        p = Params(arch="linear", dims=n, k=k, w1=w, b1=np.zeros(k))
+        p = Params(w1=w, b1=np.zeros(k))
         snap = nl.snapshot_losses(p, ds)
         assert np.all(snap.losses < 1e-9)
 

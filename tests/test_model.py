@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisylab as nl
-from noisylab.errors import ConfigError, NumericError, ShapeError
+from noisylab.errors import ConfigError, NumericError, ParseError, ShapeError
 from noisylab.model import (
     CrossEntropy,
     Params,
     SmoothedCrossEntropy,
     _forward_batch,
+    accuracy,
     load_checkpoint,
     save_checkpoint,
     softmax,
@@ -38,7 +39,7 @@ def _batch_loss(p, batch, loss_fn):
 
 def _flatten(p):
     blocks = [("w1", p.w1), ("b1", p.b1)]
-    if p.arch == "mlp":
+    if p.w2 is not None:
         blocks += [("w2", p.w2), ("b2", p.b2)]
     return blocks
 
@@ -67,7 +68,7 @@ def fd_gradcheck(p, batch, loss_fn, h=1e-6, rel_tol=1e-5):
 def _probs(p, x):
     """Forward pass on a one-row batch; x is a feature dict or a dense row."""
     if isinstance(x, dict):
-        X = sp.csr_matrix((list(x.values()), ([0] * len(x), list(x))), shape=(1, p.dims))
+        X = sp.csr_matrix((list(x.values()), ([0] * len(x), list(x))), shape=(1, p.w1.shape[0]))
     else:
         X = sp.csr_matrix(np.asarray(x, dtype=np.float64).reshape(1, -1))
     return _forward_batch(p, X)[0][0]
@@ -75,12 +76,12 @@ def _probs(p, x):
 
 class TestForward:
     def test_zero_weights_uniform(self):
-        p = Params(arch="linear", dims=4, k=3, w1=np.zeros((4, 3)), b1=np.zeros(3))
+        p = Params(w1=np.zeros((4, 3)), b1=np.zeros(3))
         probs = _probs(p, {0: 1.0})
         assert np.allclose(probs, 1 / 3)
 
     def test_large_logits_no_overflow(self):
-        p = Params(arch="linear", dims=1, k=2, w1=np.zeros((1, 2)), b1=np.array([1000.0, 0.0]))
+        p = Params(w1=np.zeros((1, 2)), b1=np.array([1000.0, 0.0]))
         probs = _probs(p, {0: 1.0})
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
@@ -184,7 +185,7 @@ class TestGradStep:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_non_finite_gradient_names_block(self):
-        p = Params(arch="linear", dims=2, k=2, w1=np.full((2, 2), 1e308), b1=np.zeros(2))
+        p = Params(w1=np.full((2, 2), 1e308), b1=np.zeros(2))
         X = sp.csr_matrix(np.array([[1e308, 0.0]]))
         before = p.copy()
         with pytest.raises(NumericError):
@@ -196,7 +197,7 @@ class TestGradStep:
         # contributions to the w1 gradient overflow.
         w1 = np.zeros((3, 2))
         w1[1, 0] = 0.01
-        p = Params(arch="linear", dims=3, k=2, w1=w1, b1=np.zeros(2))
+        p = Params(w1=w1, b1=np.zeros(2))
         X = sp.csr_matrix((np.full(2, 1.5e308), np.array([1, 1]), np.array([0, 2])), shape=(1, 3))
         before = p.copy()
         with pytest.raises(NumericError, match="w1"):
@@ -267,14 +268,14 @@ class TestEvaluate:
                     row = ds.X[r]
                     for i, v in zip(row.indices, row.data):
                         w[i, c] += v
-        p = Params(arch="linear", dims=128, k=3, w1=w, b1=np.zeros(3))
-        assert nl.evaluate(p, ds, "clean") == 1.0
+        p = Params(w1=w, b1=np.zeros(3))
+        assert accuracy(p, ds.X, ds.labels("clean")) == 1.0
 
     def test_tie_break_to_class_zero(self):
         ds = nl.synth_dataset(k=2, n=40, margin=1.0, seed=15, dims=128)
-        p = Params(arch="linear", dims=128, k=2, w1=np.zeros((128, 2)), b1=np.zeros(2))
+        p = Params(w1=np.zeros((128, 2)), b1=np.zeros(2))
         frac_zero = float(np.mean(ds.clean_labels == 0))
-        assert nl.evaluate(p, ds, "clean") == frac_zero == 0.5
+        assert accuracy(p, ds.X, ds.labels("clean")) == frac_zero == 0.5
 
     def test_matches_per_example_loop(self):
         ds = nl.synth_dataset(k=3, n=25, margin=0.6, seed=16, dims=128)
@@ -284,12 +285,29 @@ class TestEvaluate:
             probs = dense_probs(p, ds.X[r])
             if int(np.argmax(probs)) == y:
                 correct += 1
-        assert nl.evaluate(p, ds, "clean") == correct / len(ds)
+        assert accuracy(p, ds.X, ds.labels("clean")) == correct / len(ds)
 
     def test_missing_labels(self):
         ds = nl.synth_dataset(k=2, n=10, margin=1.0, seed=18)
         with pytest.raises(ConfigError):
-            nl.evaluate(nl.init_params(ds.dims, 2, seed=0), ds, "noisy")
+            accuracy(nl.init_params(ds.dims, 2, seed=0), ds.X, ds.labels("noisy"))
+
+
+class TestInit:
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_draws_each_layer_weights_then_bias_in_order(self, arch):
+        p = nl.init_params(7, 3, seed=23, arch=arch, hidden=5)
+        rng = np.random.default_rng(23)
+        shapes = [(7, 3), 3] if arch == "linear" else [(7, 5), 5, (5, 3), 3]
+        expected = [rng.uniform(-0.05, 0.05, size=shape) for shape in shapes]
+        assert [a.tobytes() for _, a in _flatten(p)] == [a.tobytes() for a in expected]
+
+    def test_unknown_arch(self):
+        with pytest.raises(ConfigError, match="cnn"):
+            nl.init_params(4, 2, seed=0, arch="cnn")
+
+
+_W, _B = np.zeros((2, 2)), np.zeros(2)
 
 
 class TestCheckpoint:
@@ -297,10 +315,30 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path, arch):
         p = nl.init_params(16, 3, seed=19, arch=arch, hidden=8)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(p, path, extras={"M": np.eye(3)})
-        q, extras = load_checkpoint(path)
-        assert q.arch == p.arch and q.dims == p.dims and q.k == p.k
-        assert np.array_equal(q.w1, p.w1)
-        if arch == "mlp":
-            assert np.array_equal(q.w2, p.w2)
-        assert np.array_equal(extras["M"], np.eye(3))
+        save_checkpoint(p, path)
+        with np.load(path) as z:
+            assert set(z.files) == {name for name, _ in _flatten(p)}
+        q = load_checkpoint(path)
+        assert type(q) is Params
+        assert [(n, a.dtype, a.shape, a.tobytes()) for n, a in _flatten(q)] == [
+            (n, a.dtype, a.shape, a.tobytes()) for n, a in _flatten(p)
+        ]
+        assert (q.w2 is None) == (arch == "linear")
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            {"meta": '{"arch": "linear", "dims": 2, "k": 2, "hidden": null}', "w1": _W, "b1": _B},
+            {"w1": _W, "b1": _B, "extra_M": np.eye(2)},
+            {"w1": _W, "b1": _B, "w2": _W},
+            {"w1": _W, "b1": _B, "w2": _W, "b2": _B, "w3": _B},
+            {"w1": _W},
+            {"losses": _B, "is_wrong": _B.astype(bool), "step": 3},
+        ],
+        ids=["old_meta_format", "extras", "w2_without_b2", "unknown_array", "w1_only", "snapshot"],
+    )
+    def test_other_arrays_are_a_parse_error(self, tmp_path, arrays):
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ParseError, match="ckpt.npz"):
+            load_checkpoint(path)

@@ -6,6 +6,7 @@ import pytest
 import noisylab as nl
 from noisylab import trainer
 from noisylab.errors import ConfigError
+from noisylab.model import accuracy
 from conftest import with_noise
 
 
@@ -45,7 +46,7 @@ class TestTrain:
     def test_best_checkpoint_reproduces_val_acc(self, small_noisy_splits):
         tr, va, te = small_noisy_splits
         rec, best, _ = nl.train(tr, va, te, nl.Vanilla(), _cfg())
-        assert nl.evaluate(best, va, "noisy") == rec.best_entry.val_acc
+        assert accuracy(best, va.X, va.labels("noisy")) == rec.best_entry.val_acc
 
     def test_zero_noise_no_memorization_gap(self):
         ds = nl.synth_dataset(k=3, n=300, margin=1.0, seed=21)
@@ -73,7 +74,7 @@ class TestTrain:
         tr, va, te = small_noisy_splits
         strat = nl.CoTeaching(eps=0.4, ramp_epochs=2)
         rec, best, _ = nl.train(tr, va, te, strat, _cfg(max_epochs=3))
-        assert rec.best_entry.val_acc == nl.evaluate(best, va, "noisy")
+        assert rec.best_entry.val_acc == accuracy(best, va.X, va.labels("noisy"))
 
     @pytest.mark.parametrize(
         "strategy", [nl.Vanilla(), nl.CoTeaching(eps=0.4, ramp_epochs=2)], ids=["vanilla", "coteaching"]
