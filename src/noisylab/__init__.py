@@ -35,7 +35,7 @@ from .strategies import (
     coteach_select,
     keep_fraction,
 )
-from .trainer import RunRecord, TrainConfig, compare_val_policies, train
+from .trainer import RunRecord, TrainConfig, train
 from .diagnostics import LossSnapshot, RocCurve, histogram, roc, snapshot_losses
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "keep_fraction",
     "RunRecord",
     "TrainConfig",
-    "compare_val_policies",
     "train",
     "LossSnapshot",
     "RocCurve",

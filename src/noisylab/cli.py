@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import typing
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +125,8 @@ def _build_dataset(cfg: dict):
     else:
         if "path" not in ds_cfg or "k" not in ds_cfg:
             raise ConfigError("dataset needs path and k (or a synth block)")
-        ds = data_mod.load_jsonl(ds_cfg["path"], _typed(ds_cfg["k"], int, "dataset: k"))
+        path = _typed(ds_cfg["path"], str, "dataset: path")
+        ds = data_mod.load_jsonl(path, _typed(ds_cfg["k"], int, "dataset: k"))
         dims = _typed(ds_cfg.get("featurize_dims", 2**18), int, "dataset: featurize_dims")
         ds = data_mod.featurize(ds, dims)
     split_cfg = cfg.get("split", {})
@@ -154,10 +154,11 @@ def _corrupt(ds, noise: dict, offset: int = 0):
     seed = _typed(noise.get("seed", 0), int, "noise: seed") + offset
     if kind == "rules":
         abstain = _typed(noise.get("abstain_to_clean", True), bool, "noise: abstain_to_clean")
-        ds = noise_mod.inject_rules(ds, noise_mod.RuleSet.load_jsonl(noise["rules"], abstain))
+        rules = noise_mod.RuleSet.load_jsonl(_typed(noise["rules"], str, "noise: rules"), abstain)
+        ds = noise_mod.inject_rules(ds, rules)
         return ds, noise_mod.matrix_from_pairs(ds.clean_labels, ds.noisy_labels, ds.k)
     if kind == "matrix":
-        T = noise_mod.TransitionMatrix.load_csv(noise["matrix"])
+        T = noise_mod.TransitionMatrix.load_csv(_typed(noise["matrix"], str, "noise: matrix"))
     else:
         family = noise_mod.uniform_matrix if kind == "uniform" else noise_mod.single_flip_matrix
         T = family(ds.k, _typed(noise["level"], float, "noise: level"))
@@ -190,7 +191,8 @@ def _build_strategy(s_cfg, true_T, realized_fdr: float):
     if cls is strat_mod.NMat:
         matrix = block.pop("matrix", True)
         use_true = matrix is True or matrix == "true"
-        resolved["T"] = true_T if use_true else noise_mod.TransitionMatrix.load_csv(matrix)
+        path = None if use_true else _typed(matrix, str, f"strategy {name}: matrix")
+        resolved["T"] = true_T if use_true else noise_mod.TransitionMatrix.load_csv(path)
     if cls is strat_mod.CoTeaching and "eps" not in block:
         resolved["eps"] = realized_fdr
     return _from_config(cls, block, f"strategy {name}", **resolved)
@@ -354,20 +356,13 @@ def cmd_report(args) -> int:
 
 def cmd_diagnose(args) -> int:
     run_dir = Path(args.run_dir)
-    summary_path = run_dir / "summary.json"
-    try:
-        with np.load(run_dir / "snapshot.npz") as z:
-            snap = diag_mod.LossSnapshot(
-                losses=z["losses"], is_wrong=z["is_wrong"], step=int(z["step"])
-            )
-    except (ValueError, KeyError, zipfile.BadZipFile) as e:
-        raise ParseError(f"{run_dir}: unreadable snapshot.npz: {e}") from None
-    summary = _read_summary(summary_path, _DIAGNOSE_FIELDS) if summary_path.exists() else None
+    z = model_mod.load_arrays(run_dir / "snapshot.npz", {"losses", "is_wrong", "step"})
+    snap = diag_mod.LossSnapshot(losses=z["losses"], is_wrong=z["is_wrong"], step=int(z["step"]))
+    summary = _read_summary(run_dir / "summary.json", _DIAGNOSE_FIELDS)
     diag_mod.write_histogram_csv(snap, run_dir / "histogram.csv", bins=args.bins)
     curve = diag_mod.roc(snap)
     diag_mod.write_roc_csv(curve, run_dir / "roc.csv")
-    if summary is not None:
-        diag_mod.write_report_csv([dict(summary, auc=curve.auc)], run_dir / "report.csv")
+    diag_mod.write_report_csv([dict(summary, auc=curve.auc)], run_dir / "report.csv")
     return EXIT_OK
 
 

@@ -123,43 +123,48 @@ class SplitSpec:
             raise DomainError(f"split fractions sum to {sum(self.fractions)}, not 1")
 
 
-def load_jsonl(path, k: int) -> Dataset:
-    """Read a JSONL dataset; each record has id, text, and >=1 label field."""
-    examples = []
-    clean, noisy = [], []
-    with open(path, encoding="utf-8") as f:
+def read_jsonl(path):
+    """``(line number, record)`` for each non-blank line of a JSONL file; a line
+    that is not one JSON object is a ``ParseError`` naming the file and line."""
+    with open(path, "rb") as f:  # json decodes the bytes, so bad UTF-8 is a ValueError
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: {e}") from e
-            if "id" not in rec or "text" not in rec:
-                raise ParseError(f"{path}: line {lineno}: missing id or text")
-            if "clean_label" not in rec and "noisy_label" not in rec:
-                raise ParseError(f"{path}: line {lineno}: no label field")
-            for field, acc in (("clean_label", clean), ("noisy_label", noisy)):
-                if field in rec:
-                    lab = int(rec[field])
-                    if not 0 <= lab < k:
-                        raise DomainError(
-                            f"label {lab} out of range [0,{k}) for example {rec['id']!r}"
-                        )
-                    acc.append(lab)
-            examples.append(Example(id=str(rec["id"]), text=rec["text"]))
+            except ValueError as e:
+                raise ParseError(f"{path}: line {lineno}: {e}") from None
+            if not isinstance(rec, dict):
+                raise ParseError(f"{path}: line {lineno}: not a JSON object")
+            yield lineno, rec
+
+
+def json_int(value, what: str) -> int:
+    if type(value) is not int or abs(value) >= 2**63:
+        raise ParseError(f"{what} must be a 64-bit integer, got {json.dumps(value)}")
+    return value
+
+
+def load_jsonl(path, k: int) -> Dataset:
+    """Read a JSONL dataset; each record has id, text, and >=1 label field."""
+    examples = []
+    labels = {"clean_label": [], "noisy_label": []}
+    for lineno, rec in read_jsonl(path):
+        where = f"{path}: line {lineno}"
+        if "id" not in rec or not isinstance(rec.get("text"), str):
+            raise ParseError(f"{where}: needs an id and a string text")
+        if not labels.keys() & rec.keys():
+            raise ParseError(f"{where}: no label field")
+        for field, acc in labels.items():
+            if field in rec:
+                acc.append(json_int(rec[field], f"{where}: {field}"))
+        examples.append(Example(id=str(rec["id"]), text=rec["text"]))
     n = len(examples)
-    if clean and len(clean) != n:
-        raise ParseError(f"{path}: clean_label present on only {len(clean)}/{n} lines")
-    if noisy and len(noisy) != n:
-        raise ParseError(f"{path}: noisy_label present on only {len(noisy)}/{n} lines")
-    return Dataset(
-        examples=tuple(examples),
-        k=k,
-        clean_labels=np.array(clean, dtype=np.int64) if clean else None,
-        noisy_labels=np.array(noisy, dtype=np.int64) if noisy else None,
-    )
+    for field, acc in labels.items():
+        if acc and len(acc) != n:
+            raise ParseError(f"{path}: {field} present on only {len(acc)}/{n} lines")
+    clean, noisy = (np.array(acc, dtype=np.int64) if acc else None for acc in labels.values())
+    return Dataset(examples=tuple(examples), k=k, clean_labels=clean, noisy_labels=noisy)
 
 
 def write_jsonl(ds: Dataset, path) -> None:

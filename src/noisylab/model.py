@@ -7,6 +7,7 @@ plain SGD consumes the mean-batch gradient. All randomness is seeded.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,13 +113,11 @@ class SmoothedCrossEntropy:
         return losses, probs - T
 
 
-def step(p: Params, X: sp.csr_matrix, labels: np.ndarray, lr: float, loss_fn=None) -> float:
+def step(p: Params, X: sp.csr_matrix, labels: np.ndarray, lr: float, loss_fn) -> float:
     """One SGD step on the mean batch loss. Updates ``p``'s arrays in place,
     touching only the ``w1`` rows of the batch's feature columns, and returns
     the mean loss. On ``NumericError`` ``p`` is left unchanged."""
     n = X.shape[0]
-    if loss_fn is None:
-        loss_fn = CrossEntropy()
     probs, H = _forward_batch(p, X)
     losses, dlogits = loss_fn.per_sample(probs, labels)
     dZ = dlogits / n
@@ -154,10 +153,21 @@ def save_checkpoint(p: Params, path) -> None:
     np.savez(path, **p.arrays())
 
 
+def load_arrays(path, *layouts: set[str]) -> dict[str, np.ndarray]:
+    """The arrays of an NPZ file, by name. Any other file, or one that holds
+    other than numeric arrays named as one of ``layouts``, is a ``ParseError``."""
+    try:
+        with np.lib.npyio.NpzFile(path) as z:  # rejects pickled objects
+            arrays = {name: np.asarray(z[name]) for name in z.files}  # a non-.npy member is bytes
+    except (ValueError, zipfile.BadZipFile) as e:
+        raise ParseError(f"{path}: not an NPZ archive of arrays: {e}") from None
+    if set(arrays) not in layouts or any(a.dtype.kind not in "biuf" for a in arrays.values()):
+        held = ", ".join(f"{name} ({a.dtype})" for name, a in sorted(arrays.items()))
+        expected = " or ".join(str(sorted(names)) for names in layouts)
+        raise ParseError(f"{path}: holds {held or 'no arrays'}; expected numeric {expected}")
+    return arrays
+
+
 def load_checkpoint(path) -> Params:
-    """The parameters ``save_checkpoint`` wrote; a file whose arrays are not
-    ``w1`` and ``b1``, or those plus ``w2`` and ``b2``, is a ``ParseError``."""
-    with np.load(path, allow_pickle=False) as z:
-        if set(z.files) not in ({"w1", "b1"}, {"w1", "b1", "w2", "b2"}):
-            raise ParseError(f"{path}: not a checkpoint, holds arrays {sorted(z.files)}")
-        return Params(**{name: z[name] for name in z.files})
+    """The parameters ``save_checkpoint`` wrote; any other file is a ``ParseError``."""
+    return Params(**load_arrays(path, {"w1", "b1"}, {"w1", "b1", "w2", "b2"}))

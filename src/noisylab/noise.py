@@ -9,12 +9,12 @@ audits.
 from __future__ import annotations
 
 import dataclasses
-import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, tokenize
+from .data import Dataset, json_int, read_jsonl, tokenize
 from .errors import ConfigError, DomainError, ParseError, ShapeError
 
 ROW_SUM_TOL = 1e-9
@@ -47,7 +47,13 @@ class TransitionMatrix:
 
     @classmethod
     def load_csv(cls, path) -> "TransitionMatrix":
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        """The matrix ``save_csv`` wrote; a file that is not rows of numbers is a ``ParseError``."""
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # numpy warns on an empty file
+                rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        except (ValueError, UserWarning) as e:
+            raise ParseError(f"{path}: not a CSV matrix: {e}") from None
         return cls(k=rows.shape[0], rows=rows)
 
 
@@ -68,18 +74,11 @@ class RuleSet:
     @classmethod
     def load_jsonl(cls, path, abstain_to_clean: bool = True) -> "RuleSet":
         rules = []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    rules.append((str(rec["keyword"]), int(rec["class"])))
-                except KeyError as e:
-                    raise ParseError(f"{path}: line {lineno}: missing {e}") from None
-                except (TypeError, ValueError) as e:
-                    raise ParseError(f"{path}: line {lineno}: {e}") from None
+        for lineno, rec in read_jsonl(path):
+            where = f"{path}: line {lineno}"
+            if "keyword" not in rec:
+                raise ParseError(f"{where}: missing 'keyword'")
+            rules.append((str(rec["keyword"]), json_int(rec.get("class"), f"{where}: class")))
         return cls(rules=tuple(rules), abstain_to_clean=abstain_to_clean)
 
 
@@ -94,30 +93,16 @@ def uniform_matrix(k: int, eps: float) -> TransitionMatrix:
     return TransitionMatrix(k=k, rows=rows)
 
 
-def single_flip_matrix(
-    k: int, eps: float, flip_map: dict[int, int] | None = None
-) -> TransitionMatrix:
-    """Send eps mass of each class to exactly one wrong class.
-
-    Default flip_map is the cyclic shift i -> (i+1) mod k.
-    """
+def single_flip_matrix(k: int, eps: float) -> TransitionMatrix:
+    """Send eps mass of each class i to the one wrong class (i+1) mod k."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if not 0 <= eps < 1:
         raise DomainError(f"eps must be in [0,1), got {eps}")
-    if flip_map is None:
-        flip_map = {i: (i + 1) % k for i in range(k)}
-    if set(flip_map) != set(range(k)):
-        raise DomainError("flip_map must be total over classes")
     rows = np.zeros((k, k))
     for i in range(k):
-        j = flip_map[i]
-        if j == i:
-            raise DomainError(f"flip_map has fixed point at class {i}")
-        if not 0 <= j < k:
-            raise DomainError(f"flip_map target {j} out of range")
         rows[i, i] = 1.0 - eps
-        rows[i, j] += eps
+        rows[i, (i + 1) % k] = eps
     return TransitionMatrix(k=k, rows=rows)
 
 

@@ -212,27 +212,3 @@ def train(
         keep_best()
     return record, best_params, params
 
-
-def compare_val_policies(
-    train_ds: Dataset,
-    val_ds: Dataset,
-    test_ds: Dataset,
-    strategy: Strategy,
-    cfg: TrainConfig,
-) -> tuple[float, float, float]:
-    """Clean-test accuracy under noisy- vs clean-validation early stopping.
-
-    Returns (acc with noisy policy, acc with clean policy, absolute gap).
-    Both runs share the same seed and data order.
-    """
-    if val_ds.clean_labels is None or val_ds.noisy_labels is None:
-        raise ConfigError("validation set needs both label sequences")
-    rec_noisy, _, _ = train(
-        train_ds, val_ds, test_ds, strategy, dataclasses.replace(cfg, val_policy="noisy")
-    )
-    rec_clean, _, _ = train(
-        train_ds, val_ds, test_ds, strategy, dataclasses.replace(cfg, val_policy="clean")
-    )
-    a = rec_noisy.best_entry.test_acc
-    b = rec_clean.best_entry.test_acc
-    return a, b, abs(a - b)

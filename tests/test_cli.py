@@ -58,11 +58,39 @@ def _rules_on_text(c, **noise):
     c["noise"] = {"type": "rules", "rules": str(root / "rules.jsonl"), **noise}
 
 
-def _nan_matrix_csv(c):
-    """A 3x3 noise-matrix CSV beside config ``c`` whose class-0 row is NaN."""
-    path = Path(c["output_dir"]).parent / "nan.csv"
-    path.write_text("nan,nan,nan\n0,1,0\n0,0,1\n")
+def _beside(c, name, text):
+    """Write ``text`` to a file ``name`` beside config ``c``; returns its path."""
+    path = Path(c["output_dir"]).parent / name
+    path.write_text(text)
     return str(path)
+
+
+def _matrix_noise(c, text):
+    """Give config ``c`` matrix noise from a CSV holding ``text``."""
+    c["noise"] = {"type": "matrix", "matrix": _beside(c, "T.csv", text)}
+
+
+def _nmat_matrix(c, text):
+    """Add to config ``c`` an nmat strategy whose matrix CSV holds ``text``."""
+    c["strategies"].append({"name": "nmat", "matrix": _beside(c, "T.csv", text)})
+
+
+def _text_dataset(c, line):
+    """Point config ``c`` at a JSONL text dataset that ends in ``line``."""
+    path = Path(c["output_dir"]).parent / "d.jsonl"
+    _write_clean_jsonl(path, n=300, k=3)
+    with open(path, "a") as f:
+        f.write(line + "\n")
+    c["dataset"] = {"path": str(path), "k": 3, "featurize_dims": 1024}
+
+
+_BAD_CSVS = {"not_numeric": "a,b\n", "ragged": "0.5,0.5\n1\n", "empty": ""}
+_BAD_LINES = {
+    "label_string": '{"id": "b", "text": "t", "clean_label": "zz"}',
+    "label_bool": '{"id": "b", "text": "t", "clean_label": true}',
+    "label_fraction": '{"id": "b", "text": "t", "clean_label": 1.7}',
+    "line_number": "5",
+}
 
 
 def _cli(*argv):
@@ -158,29 +186,38 @@ class TestInject:
         assert len(err) == 1 and err[0].startswith("inject:")
 
     @pytest.mark.parametrize(
-        "rules, expected",
+        "name, text, expected",
         [
-            (None, "missing.jsonl"),
-            ('{"keyword": "word1", "class": 1}\n{"class": 2}\n', "line 2: missing 'keyword'"),
-            ('{"keyword": "word1", "class": 1}\nword2 -> 2\n', "line 2"),
+            ("missing.jsonl", None, "missing.jsonl"),
+            ("rules.jsonl", '{"keyword": "word1", "class": 1}\n{"class": 2}\n',
+             "line 2: missing 'keyword'"),
+            ("rules.jsonl", '{"keyword": "word1", "class": 1}\nword2 -> 2\n', "line 2"),
+            ("rules.jsonl", '{"keyword": "word1", "class": true}\n', "line 1: class"),
+            *[("T.csv", text, "T.csv") for text in _BAD_CSVS.values()],
+            *[("in.jsonl", '{"id": "a", "text": "t", "clean_label": 0}\n' + line, "line 2")
+              for line in _BAD_LINES.values()],
         ],
-        ids=["missing_input", "rule_without_keyword", "rules_not_json"],
+        ids=["missing_input", "rule_without_keyword", "rules_not_json", "rule_class_bool",
+             *[f"matrix_{name}" for name in _BAD_CSVS], *[f"input_{name}" for name in _BAD_LINES]],
     )
-    def test_unreadable_input_one_line_failure(self, tmp_path, capsys, rules, expected):
+    def test_unreadable_input_one_line_failure(self, tmp_path, capsys, name, text, expected):
+        """``name`` holding ``text`` (None: no such file) is the input, or the
+        rules or matrix file of that noise type."""
         src = tmp_path / "clean.jsonl"
-        argv = ["--type", "uniform", "--level", "0.4"]
-        if rules is None:
-            src = tmp_path / "missing.jsonl"
+        _write_clean_jsonl(src, n=10)
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        kind = {"rules.jsonl": "rules", "T.csv": "matrix"}.get(name)
+        if kind is None:
+            argv = ["--input", str(path), "--type", "uniform", "--level", "0.4"]
         else:
-            _write_clean_jsonl(src, n=10)
-            (tmp_path / "rules.jsonl").write_text(rules)
-            argv = ["--type", "rules", "--rules", str(tmp_path / "rules.jsonl")]
-        code = main(
-            ["inject", "--input", str(src), "--output", str(tmp_path / "o.jsonl"), "--k", "4", *argv]
-        )
+            argv = ["--input", str(src), "--type", kind, f"--{kind}", str(path)]
+        code = main(["inject", *argv, "--output", str(tmp_path / "o.jsonl"), "--k", "4"])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("inject:") and expected in err[0]
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_negative_seed_one_line_failure(self, tmp_path, capsys):
         src = tmp_path / "clean.jsonl"
@@ -264,7 +301,7 @@ class TestRun:
             (lambda c: (c["strategies"].append({"name": "no_validation"}),
                         c["train"].update(convergence_tol=float("nan"))), 2),
             (lambda c: c["train"].update(max_epochs=float("inf")), 2),
-            (lambda c: c.update(noise={"type": "matrix", "matrix": _nan_matrix_csv(c)}), 2),
+            (lambda c: _matrix_noise(c, "nan,nan,nan\n0,1,0\n0,0,1\n"), 2),
             (lambda c: c["train"].update(seed=-1), 2),
             (lambda c: c["split"].update(seed=-1), 2),
             (lambda c: c["noise"].update(seed=-1), 2),
@@ -273,6 +310,16 @@ class TestRun:
             (lambda c: c["train"].update(arch="mlp", hidden=-1), 2),
             (lambda c: c["train"].update(arch="mlp", hidden=0), 2),
             (lambda c: c["dataset"]["synth"].update(n=float("inf")), 2),
+            *[(lambda c, t=text: _matrix_noise(c, t), 2) for text in _BAD_CSVS.values()],
+            *[(lambda c, t=text: _nmat_matrix(c, t), 2) for text in _BAD_CSVS.values()],
+            (lambda c: c["strategies"].append({"name": "nmat", "matrix": False}), 2),
+            (lambda c: _text_dataset(c, '{"id": "b", "text": "t", "clean_label": 1}'), 0),
+            *[(lambda c, line=line: _text_dataset(c, line), 2) for line in _BAD_LINES.values()],
+            (lambda c: (_rules_on_text(c), c["noise"].update(rules=_beside(
+                c, "bad_rules.jsonl", '{"keyword": "word1", "class": true}\n'))), 2),
+            (lambda c: c.update(dataset={"path": ["d.jsonl"], "k": 3}), 2),
+            (lambda c: _rules_on_text(c, rules=["rules.jsonl"]), 2),
+            (lambda c: c.update(noise={"type": "matrix", "matrix": 5}), 2),
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
@@ -281,7 +328,11 @@ class TestRun:
              "abstain_false", "output_dir_3", "lr_nan", "lr_inf", "lam_nan",
              "convergence_tol_nan", "max_epochs_inf", "noise_matrix_nan", "train_seed_-1",
              "split_seed_-1", "noise_seed_-1", "synth_seed_-1", "arch_cnn", "hidden_-1",
-             "hidden_0", "synth_n_inf"],
+             "hidden_0", "synth_n_inf",
+             *[f"noise_matrix_{name}" for name in _BAD_CSVS],
+             *[f"nmat_matrix_{name}" for name in _BAD_CSVS], "nmat_matrix_false",
+             "dataset_label_int", *[f"dataset_{name}" for name in _BAD_LINES],
+             "rule_class_bool", "dataset_path_list", "noise_rules_list", "noise_matrix_number"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, edit, code):
         cfg = _small_config(tmp_path, trials=1)
@@ -499,11 +550,13 @@ def _snapshot(tmp_path, cut):
         (lambda t: _summaries(
             t, _SUMMARY, _SUMMARY, _SUMMARY.replace('"best_test_acc": 0.9', '"best_test_acc": true')
         ), ["report", "{t}/out"], 0, "skipping unreadable run"),
+        (lambda t: _snapshot(t, lambda b: b),
+         ["diagnose", "{t}/out/vanilla/trial_0"], 1, "summary.json"),
     ],
     ids=["diagnose_bins_0", "snapshot_not_zip", "snapshot_truncated",
          "report_output_dir_missing", "report_summary_truncated",
          "report_summary_empty_mapping", "report_summary_list", "diagnose_summary_empty_mapping",
-         "report_summary_auc_string", "report_summary_acc_bool"],
+         "report_summary_auc_string", "report_summary_acc_bool", "diagnose_without_summary"],
 )
 def test_report_diagnose_bad_input_one_line(tmp_path, setup, argv, code, expected):
     setup(tmp_path)
@@ -514,6 +567,8 @@ def test_report_diagnose_bad_input_one_line(tmp_path, setup, argv, code, expecte
     assert len(err) == 1 and expected in err[0], proc.stderr
     if code == 0:  # the readable runs are still reported
         assert proc.stdout.splitlines()[1].startswith("vanilla,2,")
+    else:
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestEndToEndDeterminism:

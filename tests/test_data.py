@@ -56,6 +56,29 @@ class TestLoadJsonl:
         with pytest.raises(ParseError, match="line 2"):
             nl.load_jsonl(path, k=2)
 
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ('{"id": "b", "text": "t", "clean_label": "zz"}', 'line 2: clean_label .* "zz"'),
+            ('{"id": "b", "text": "t", "clean_label": true}', "line 2: clean_label .* true"),
+            ('{"id": "b", "text": "t", "noisy_label": 1.7}', "line 2: noisy_label .* 1.7"),
+            ('{"id": "b", "text": "t", "clean_label": 1e30}', "line 2: clean_label"),
+            ('{"id": "b", "text": "t", "clean_label": 9223372036854775808}', "line 2: clean_label"),
+            ('{"id": "b", "text": 5, "clean_label": 1}', "line 2: .*string text"),
+            ("5", "line 2: not a JSON object"),
+            ('"x"', "line 2: not a JSON object"),
+            ('{"id": "b", "text": "\xff", "clean_label": 1}', "line 2"),
+        ],
+        ids=["label_string", "label_bool", "label_fraction", "label_float_exponent",
+             "label_beyond_int64", "text_number", "line_number", "line_string", "bad_utf8"],
+    )
+    def test_bad_record_is_a_parse_error_naming_the_line(self, tmp_path, line, expected):
+        path = tmp_path / "d.jsonl"
+        first = b'{"id": "a", "text": "t", "clean_label": 0, "noisy_label": 0}\n'
+        path.write_bytes(first + line.encode("latin-1") + b"\n")
+        with pytest.raises(ParseError, match=expected):
+            nl.load_jsonl(path, k=2)
+
     def test_round_trip_both_labels(self, tmp_path):
         rng = np.random.default_rng(0)
         examples = tuple(nl.Example(id=f"e{i}", text=f"word{i} word{i+1}") for i in range(10))

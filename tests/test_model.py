@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ class TestGradStep:
         p = nl.init_params(5, 3, seed=7)
         batch = _random_batch(rng, 4, 5, 3)
         q = p.copy()
-        step(q, *batch, lr=0.0)
+        step(q, *batch, lr=0.0, loss_fn=CrossEntropy())
         assert np.array_equal(q.w1, p.w1) and np.array_equal(q.b1, p.b1)
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
@@ -180,7 +181,7 @@ class TestGradStep:
         p = nl.init_params(tr.dims, 2, seed=13)
         losses = []
         for _ in range(50):
-            loss = step(p, X, tr.noisy_labels, lr=1.0)
+            loss = step(p, X, tr.noisy_labels, lr=1.0, loss_fn=CrossEntropy())
             losses.append(loss)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -189,7 +190,7 @@ class TestGradStep:
         X = sp.csr_matrix(np.array([[1e308, 0.0]]))
         before = p.copy()
         with pytest.raises(NumericError):
-            step(p, X, np.array([0]), lr=0.1)
+            step(p, X, np.array([0]), lr=0.1, loss_fn=CrossEntropy())
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(_flatten(p), _flatten(before)))
 
     def test_non_finite_w1_gradient_leaves_params_unchanged(self):
@@ -201,7 +202,7 @@ class TestGradStep:
         X = sp.csr_matrix((np.full(2, 1.5e308), np.array([1, 1]), np.array([0, 2])), shape=(1, 3))
         before = p.copy()
         with pytest.raises(NumericError, match="w1"):
-            step(p, X, np.array([1]), lr=0.1)
+            step(p, X, np.array([1]), lr=0.1, loss_fn=CrossEntropy())
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(_flatten(p), _flatten(before)))
 
 
@@ -310,6 +311,26 @@ class TestInit:
 _W, _B = np.zeros((2, 2)), np.zeros(2)
 
 
+def _npz(**arrays):
+    return lambda path: np.savez(path, **arrays)
+
+
+def _truncated_checkpoint(path):
+    np.savez(path, w1=_W, b1=_B)
+    path.write_bytes(path.read_bytes()[:-30])
+
+
+def _bare_npy(path):
+    with open(path, "wb") as f:
+        np.save(f, _W)
+
+
+def _plain_zip(path):
+    with zipfile.ZipFile(path, "w") as z:
+        z.writestr("w1", "0,0\n0,0\n")
+        z.writestr("b1", "0,0\n")
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_round_trip(self, tmp_path, arch):
@@ -326,19 +347,26 @@ class TestCheckpoint:
         assert (q.w2 is None) == (arch == "linear")
 
     @pytest.mark.parametrize(
-        "arrays",
+        "write",
         [
-            {"meta": '{"arch": "linear", "dims": 2, "k": 2, "hidden": null}', "w1": _W, "b1": _B},
-            {"w1": _W, "b1": _B, "extra_M": np.eye(2)},
-            {"w1": _W, "b1": _B, "w2": _W},
-            {"w1": _W, "b1": _B, "w2": _W, "b2": _B, "w3": _B},
-            {"w1": _W},
-            {"losses": _B, "is_wrong": _B.astype(bool), "step": 3},
+            _npz(meta='{"arch": "linear", "dims": 2, "k": 2, "hidden": null}', w1=_W, b1=_B),
+            _npz(w1=_W, b1=_B, extra_M=np.eye(2)),
+            _npz(w1=_W, b1=_B, w2=_W),
+            _npz(w1=_W, b1=_B, w2=_W, b2=_B, w3=_B),
+            _npz(w1=_W),
+            _npz(losses=_B, is_wrong=_B.astype(bool), step=3),
+            _truncated_checkpoint,
+            lambda path: path.write_bytes(b"w1,b1\n0,0\n"),
+            _npz(w1=np.array([{}], dtype=object), b1=_B),
+            _bare_npy,
+            _npz(w1=np.array([["a", "b"], ["c", "d"]]), b1=_B),
+            _plain_zip,
         ],
-        ids=["old_meta_format", "extras", "w2_without_b2", "unknown_array", "w1_only", "snapshot"],
+        ids=["old_meta_format", "extras", "w2_without_b2", "unknown_array", "w1_only", "snapshot",
+             "truncated", "not_zip", "pickled_objects", "bare_npy", "string_array", "plain_zip"],
     )
-    def test_other_arrays_are_a_parse_error(self, tmp_path, arrays):
+    def test_other_arrays_are_a_parse_error(self, tmp_path, write):
         path = tmp_path / "ckpt.npz"
-        np.savez(path, **arrays)
+        write(path)
         with pytest.raises(ParseError, match="ckpt.npz"):
             load_checkpoint(path)

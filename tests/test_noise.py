@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import noisylab as nl
 from noisylab.data import Dataset, Example
-from noisylab.errors import ConfigError, DomainError, ShapeError
+from noisylab.errors import ConfigError, DomainError, ParseError, ShapeError
 
 
 class TestUniformMatrix:
@@ -45,12 +45,8 @@ class TestSingleFlipMatrix:
             assert row[(i + 1) % 4] == pytest.approx(0.45)
 
     def test_zero_noise_identity(self):
-        T = nl.single_flip_matrix(5, 0.0, flip_map={i: (i + 2) % 5 for i in range(5)})
+        T = nl.single_flip_matrix(5, 0.0)
         assert np.array_equal(T.rows, np.eye(5))
-
-    def test_fixed_point_rejected(self):
-        with pytest.raises(DomainError):
-            nl.single_flip_matrix(3, 0.2, flip_map={0: 0, 1: 2, 2: 1})
 
 
 class TestMatrixFromPairs:
@@ -268,4 +264,13 @@ class TestMatrixIO:
         path = tmp_path / "bad.csv"
         path.write_text(f"0.5,0.5\n{row}\n")
         with pytest.raises(DomainError, match="row 1"):
+            nl.TransitionMatrix.load_csv(path)
+
+    @pytest.mark.parametrize(
+        "text", ["a,b\n", "0.5,0.5\n1\n", ""], ids=["not_numeric", "ragged", "empty"]
+    )
+    def test_malformed_csv_is_a_parse_error_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="bad.csv"):
             nl.TransitionMatrix.load_csv(path)

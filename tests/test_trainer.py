@@ -129,29 +129,22 @@ class TestTrain:
         assert rec.final_step == len(steps) == 300
 
 
-class TestCompareValPolicies:
-    def test_zero_noise_gap_is_zero(self):
+class TestValPolicy:
+    def test_policies_agree_when_val_labels_agree(self):
         ds = nl.synth_dataset(k=3, n=300, margin=0.9, seed=24)
         tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=25))
         tr = dataclasses.replace(tr, noisy_labels=tr.clean_labels)
         va = dataclasses.replace(va, noisy_labels=va.clean_labels)
-        a, b, gap = nl.compare_val_policies(tr, va, te, nl.Vanilla(), _cfg(max_epochs=3))
-        assert gap == 0.0
-        assert a == b
+        rec_noisy, _, _ = nl.train(tr, va, te, nl.Vanilla(), _cfg(max_epochs=3))
+        rec_clean, _, _ = nl.train(tr, va, te, nl.Vanilla(), _cfg(max_epochs=3, val_policy="clean"))
+        assert rec_noisy.entries == rec_clean.entries
+        assert rec_noisy.best_step == rec_clean.best_step
 
-    def test_gap_is_absolute_difference(self):
-        ds = nl.synth_dataset(k=4, n=400, margin=0.7, seed=26)
-        tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=27))
-        tr = with_noise(tr, 0.4, seed=28)
-        va = with_noise(va, 0.4, seed=29)
-        a, b, gap = nl.compare_val_policies(tr, va, te, nl.Vanilla(), _cfg(max_epochs=4))
-        assert gap == abs(a - b)
-
-    def test_requires_both_label_sets(self, small_noisy_splits):
+    def test_clean_policy_needs_clean_labels(self, small_noisy_splits):
         tr, va, te = small_noisy_splits
         va_noisy_only = dataclasses.replace(va, clean_labels=None)
-        with pytest.raises(ConfigError):
-            nl.compare_val_policies(tr, va_noisy_only, te, nl.Vanilla(), _cfg())
+        with pytest.raises(ConfigError, match="clean"):
+            nl.train(tr, va_noisy_only, te, nl.Vanilla(), _cfg(val_policy="clean"))
 
 
 class TestRunRecordIO:
