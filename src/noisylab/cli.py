@@ -27,7 +27,7 @@ from . import model as model_mod
 from . import noise as noise_mod
 from . import strategies as strat_mod
 from . import trainer as trainer_mod
-from .errors import ConfigError, DegenerateClassError, NoisyLabError, ParseError
+from .errors import ConfigError, DegenerateClassError, NoisyLabError, ParseError, SizeError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -356,8 +356,15 @@ def cmd_report(args) -> int:
 
 def cmd_diagnose(args) -> int:
     run_dir = Path(args.run_dir)
-    z = model_mod.load_arrays(run_dir / "snapshot.npz", {"losses", "is_wrong", "step"})
-    snap = diag_mod.LossSnapshot(losses=z["losses"], is_wrong=z["is_wrong"], step=int(z["step"]))
+    path = run_dir / "snapshot.npz"
+    z = model_mod.load_arrays(path, {"losses", "is_wrong", "step"})
+    step = z["step"]
+    if step.ndim != 0 or step.dtype.kind not in "iu":
+        raise ParseError(f"{path}: step must be one integer, not {step.dtype} of shape {step.shape}")
+    try:
+        snap = diag_mod.LossSnapshot(z["losses"], z["is_wrong"], int(step))
+    except SizeError as e:
+        raise ParseError(f"{path}: {e}") from None
     summary = _read_summary(run_dir / "summary.json", _DIAGNOSE_FIELDS)
     diag_mod.write_histogram_csv(snap, run_dir / "histogram.csv", bins=args.bins)
     curve = diag_mod.roc(snap)

@@ -25,8 +25,8 @@ class LossSnapshot:
         is_wrong = np.asarray(self.is_wrong, dtype=bool)
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "is_wrong", is_wrong)
-        if losses.shape != is_wrong.shape:
-            raise SizeError("losses and is_wrong must be aligned")
+        if losses.ndim != 1 or losses.shape != is_wrong.shape:
+            raise SizeError(f"losses {losses.shape}, is_wrong {is_wrong.shape}: not aligned 1-d")
         if len(losses) and (not np.all(np.isfinite(losses)) or losses.min() < 0):
             raise SizeError("losses must be finite and non-negative")
 

@@ -110,6 +110,13 @@ class NMatCorrectedCE:
         return losses, G
 
 
+# NMwR steps its matrix at this fraction of the model's learning rate. At the
+# full rate a column of M can reach 0, a q_y under the clamp then gives a huge
+# step, and the projection sends every row of M to one vertex: the final test
+# accuracy fell to chance on 6 of 20 synthetic seeds, and at a tenth on none.
+M_LR_FRACTION = 0.1
+
+
 class NMwRTrainableLoss(NMatCorrectedCE):
     """Loss functional for NMwR: NMat's corrected CE over a learned matrix M,
     plus lam*||M||^2. After each SGD step every row of M is projected onto the
@@ -130,7 +137,7 @@ class NMwRTrainableLoss(NMatCorrectedCE):
 
     def sgd_update(self, lr: float) -> None:
         if self._dM is not None:
-            self.M = project_rows_to_simplex(self.M - lr * self._dM)
+            self.M = project_rows_to_simplex(self.M - M_LR_FRACTION * lr * self._dM)
             self._dM = None
 
 

@@ -63,7 +63,10 @@ class EvalEntry:
 class RunRecord:
     entries: list[EvalEntry] = field(default_factory=list)
     best_step: int = -1
-    final_step: int = -1
+
+    @property
+    def final_step(self) -> int:
+        return self.entries[-1].step
 
     @property
     def best_entry(self) -> EvalEntry:
@@ -128,44 +131,40 @@ def train(
         )
 
     record = RunRecord()
+    losses: list[float] = []  # the mean batch loss of every step
     best_acc = -1.0
-    best_params = params.copy()
+    # NoValidation reports its final parameters; the others keep the best seen.
+    best_params = params if no_validation else params.copy()
     # The w1 rows that steps may have changed since best_params last copied them.
     dirty = np.zeros(train_ds.dims, dtype=bool)
     evals_since_best = 0
-    step_count = 0
-    loss_acc: list[float] = []
-    stop = False
-    prev_epoch_loss = None
-    flat_epochs = 0
-
-    def keep_best():
-        best_params.w1[dirty] = params.w1[dirty]
-        best_params.b1[...] = params.b1
-        if params.w2 is not None:
-            best_params.w2[...] = params.w2
-            best_params.b2[...] = params.b2
-        dirty[:] = False
 
     def run_eval():
         nonlocal best_acc, evals_since_best
         val_acc = accuracy(params, Xval, val_labels)
         test_acc = accuracy(params, Xte, test_labels)
-        train_loss = float(np.mean(loss_acc)) if loss_acc else math.nan
-        loss_acc.clear()
-        record.entries.append(EvalEntry(step_count, train_loss, val_acc, test_acc))
-        if val_acc > best_acc:
+        since = losses[record.entries[-1].step if record.entries else 0 :]
+        train_loss = float(np.mean(since)) if since else math.nan
+        record.entries.append(EvalEntry(len(losses), train_loss, val_acc, test_acc))
+        if no_validation:  # its last evaluation is its best
+            record.best_step = len(losses)
+        elif val_acc > best_acc:
             best_acc = val_acc
-            keep_best()
-            record.best_step = step_count
+            best_params.w1[dirty] = params.w1[dirty]
+            best_params.b1[...] = params.b1
+            if params.w2 is not None:
+                best_params.w2[...] = params.w2
+                best_params.b2[...] = params.b2
+            dirty[:] = False
+            record.best_step = len(losses)
             evals_since_best = 0
         else:
             evals_since_best += 1
 
+    per_epoch = -(-n // cfg.batch_size)  # steps
     for epoch in range(cfg.max_epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         Xe, ye = Xtr[order], ytr[order]
-        epoch_losses = []
         if coteach:
             frac = keep_fraction(epoch, strategy.eps, strategy.ramp_epochs)
         for start in range(0, n, cfg.batch_size):
@@ -180,35 +179,21 @@ def train(
                 sel_a, sel_b = coteach_select(la, lb, frac)
                 step(params, X[sel_a], y[sel_a], cfg.lr, loss_fn)
                 step(params_b, X[sel_b], y[sel_b], cfg.lr, loss_fn)
-                mean_loss = float(np.mean(la))
+                losses.append(float(np.mean(la)))
             else:
-                mean_loss = step(params, X, y, cfg.lr, loss_fn)
-            step_count += 1
-            loss_acc.append(mean_loss)
-            epoch_losses.append(mean_loss)
-            if step_count % cfg.eval_every == 0:
+                losses.append(step(params, X, y, cfg.lr, loss_fn))
+            if len(losses) % cfg.eval_every == 0:
                 run_eval()
-                if not no_validation and evals_since_best >= cfg.patience:
-                    stop = True
+                if evals_since_best >= cfg.patience:
                     break
-        if stop:
+        if evals_since_best >= cfg.patience:
             break
-        epoch_loss = float(np.mean(epoch_losses))
-        if no_validation:
-            if prev_epoch_loss is not None and prev_epoch_loss - epoch_loss < cfg.convergence_tol:
-                flat_epochs += 1
-            else:
-                flat_epochs = 0
-            prev_epoch_loss = epoch_loss
-            if flat_epochs >= 2:
+        if no_validation and epoch >= 2:  # converged: the epoch mean gained under tol twice
+            a, b, c = (np.mean(losses[e * per_epoch : (e + 1) * per_epoch])
+                       for e in (epoch - 2, epoch - 1, epoch))
+            if a - b < cfg.convergence_tol and b - c < cfg.convergence_tol:
                 break
 
-    if not record.entries or record.entries[-1].step != step_count:
+    if not record.entries or record.entries[-1].step != len(losses):
         run_eval()
-    record.final_step = step_count
-    if no_validation:
-        # last-epoch performance is the reported one; best coincides with final
-        record.best_step = record.final_step
-        keep_best()
     return record, best_params, params
-

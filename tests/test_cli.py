@@ -526,6 +526,16 @@ def _snapshot(tmp_path, cut):
     path.write_bytes(cut(path.read_bytes()))
 
 
+def _malformed_snapshot(tmp_path, **arrays):
+    """A run directory with a valid summary.json and a snapshot.npz whose
+    arrays are the well-formed ones with ``arrays`` swapped in."""
+    run_dir = tmp_path / "out" / "vanilla" / "trial_0"
+    run_dir.mkdir(parents=True)
+    (run_dir / "summary.json").write_text(_SUMMARY.replace("}", ', "best_val_acc": 0.9}'))
+    good = {"losses": np.ones(4), "is_wrong": np.array([0, 1, 0, 1], dtype=bool), "step": 3}
+    np.savez(run_dir / "snapshot.npz", **{**good, **arrays})
+
+
 @pytest.mark.parametrize(
     "setup, argv, code, expected",
     [
@@ -552,11 +562,19 @@ def _snapshot(tmp_path, cut):
         ), ["report", "{t}/out"], 0, "skipping unreadable run"),
         (lambda t: _snapshot(t, lambda b: b),
          ["diagnose", "{t}/out/vanilla/trial_0"], 1, "summary.json"),
+        (lambda t: _malformed_snapshot(t, step=np.array([1, 2])),
+         ["diagnose", "{t}/out/vanilla/trial_0"], 1, "snapshot.npz"),
+        (lambda t: _malformed_snapshot(
+            t, losses=np.ones((2, 2)), is_wrong=np.array([[0, 1], [1, 0]], dtype=bool)
+        ), ["diagnose", "{t}/out/vanilla/trial_0"], 1, "snapshot.npz"),
+        (lambda t: _malformed_snapshot(t, step=2.7),
+         ["diagnose", "{t}/out/vanilla/trial_0"], 1, "snapshot.npz"),
     ],
     ids=["diagnose_bins_0", "snapshot_not_zip", "snapshot_truncated",
          "report_output_dir_missing", "report_summary_truncated",
          "report_summary_empty_mapping", "report_summary_list", "diagnose_summary_empty_mapping",
-         "report_summary_auc_string", "report_summary_acc_bool", "diagnose_without_summary"],
+         "report_summary_auc_string", "report_summary_acc_bool", "diagnose_without_summary",
+         "snapshot_step_array", "snapshot_losses_2d", "snapshot_step_float"],
 )
 def test_report_diagnose_bad_input_one_line(tmp_path, setup, argv, code, expected):
     setup(tmp_path)

@@ -128,6 +128,62 @@ class TestTrain:
         rec, _, _ = nl.train(tr, va, te, nl.NMwR(lam=1e-4), cfg)
         assert rec.final_step == len(steps) == 300
 
+    def test_nmwr_final_model_does_not_collapse(self):
+        # Seed 0 of the synth_sweep benchmark with nmwr added: stepping M at the
+        # model's full learning rate sent every row of M to one vertex, and the
+        # final test accuracy fell to 0.265 while the best stayed 1.0.
+        ds = nl.synth_dataset(k=4, n=4000, margin=0.7, seed=1826701615)
+        tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=1367864807))
+        tr = with_noise(tr, 0.4, seed=1097657232)
+        va = with_noise(va, 0.4, seed=1097657233)
+        cfg = nl.TrainConfig(
+            lr=0.5, batch_size=32, max_epochs=10, eval_every=100, seed=579362556, arch="mlp"
+        )
+        rec, _, _ = nl.train(tr, va, te, nl.NMwR(lam=1e-4), cfg)
+        assert rec.final_entry.test_acc >= 0.9
+
+
+def _scripted(monkeypatch, losses):
+    """Make trainer.step leave the model as it is and return ``losses`` in turn."""
+    it = iter(losses)
+    monkeypatch.setattr(trainer, "step", lambda p, X, y, lr, loss_fn: next(it))
+
+
+class TestBookkeeping:
+    # 320 training rows in batches of 48: 7 steps per epoch.
+    PER_EPOCH = 7
+
+    def test_no_validation_stops_after_two_flat_epochs(self, small_noisy_splits, monkeypatch):
+        tr, va, te = small_noisy_splits
+        # epoch means 5, 4, 3.9995 (first flat), 3 (gain resets), 2.9995, 2.999 (second flat)
+        means = [5.0, 4.0, 3.9995, 3.0, 2.9995, 2.999] + [2.999] * 10
+        script = [m + 0.01 * (j % 3) for m in means for j in range(self.PER_EPOCH)]
+        _scripted(monkeypatch, script)
+        cfg = _cfg(batch_size=48, eval_every=3, max_epochs=len(means), convergence_tol=1e-3)
+        rec, best, final = nl.train(tr, va, te, nl.NoValidation(), cfg)
+        assert rec.final_step == 6 * self.PER_EPOCH
+        assert rec.best_step == rec.final_step and best is final
+
+    def test_train_loss_is_the_mean_since_the_last_evaluation(self, small_noisy_splits, monkeypatch):
+        tr, va, te = small_noisy_splits
+        script = [float(i % 5) + 0.1 * i for i in range(3 * self.PER_EPOCH)]
+        _scripted(monkeypatch, script)
+        rec, _, _ = nl.train(tr, va, te, nl.Vanilla(), _cfg(batch_size=48, eval_every=4, max_epochs=3))
+        steps = [e.step for e in rec.entries]
+        assert steps == [4, 8, 12, 16, 20, 21]
+        for prev, e in zip([0] + steps, rec.entries):
+            assert e.train_loss == np.mean(script[prev : e.step])
+
+    def test_patience_stops_at_evaluation_patience_plus_one(self, small_noisy_splits, monkeypatch):
+        tr, va, te = small_noisy_splits
+        _scripted(monkeypatch, [1.0] * 100 * self.PER_EPOCH)
+        cfg = _cfg(batch_size=48, eval_every=5, patience=3, max_epochs=100)
+        rec, _, _ = nl.train(tr, va, te, nl.Vanilla(), cfg)
+        # the model never changes, so only the first evaluation is a gain;
+        # the stop falls mid-epoch and must end the epoch loop too
+        assert [e.step for e in rec.entries] == [5, 10, 15, 20]
+        assert rec.best_step == 5 and rec.final_step == 20
+
 
 class TestValPolicy:
     def test_policies_agree_when_val_labels_agree(self):
