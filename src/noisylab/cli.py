@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -36,18 +37,22 @@ EXIT_DEGENERATE = 3
 
 FAILURE_MARKER = "FAILED"
 
-# The parameter each noise type cannot do without.
-_NOISE_NEEDS = {"uniform": "level", "sflip": "level", "matrix": "matrix", "rules": "rules"}
+# Each noise type's own keys, besides type and seed; the first is required.
+_NOISE_KEYS = {"uniform": ("level",), "sflip": ("level",), "matrix": ("matrix",),
+               "rules": ("rules", "abstain_to_clean")}
 
 _STRATEGIES = {cls.name: cls for cls in typing.get_args(strat_mod.Strategy)}
 
 
-def _check_keys(block, allowed, where: str) -> None:
+def _check_keys(block, allowed, where: str, required=()) -> None:
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a mapping")
     unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = [key for key in required if key not in block]
+    if missing:
+        raise ConfigError(f"missing keys in {where}: {missing}")
 
 
 def _typed(value, tp, what: str):
@@ -67,19 +72,19 @@ def _typed(value, tp, what: str):
     return out
 
 
-def _from_config(cls, block, where: str, **resolved):
-    """Build the dataclass ``cls`` from a config block keyed by its field names.
-
-    Each value is converted to its field's declared type. ``resolved`` holds
-    fields the caller works out itself; the block may not set those.
-    """
-    hints = typing.get_type_hints(cls)
-    types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
-    _check_keys(block, set(types) - set(resolved), where)
+def _from_config(fn, block, where: str, keys=None, **resolved):
+    """Call ``fn`` (a dataclass or a function) with a config block keyed by its
+    parameters, each converted to its declared type; one without a default is
+    required. ``keys`` narrows what the block may set, and ``resolved`` holds
+    parameters the caller works out itself, which the block may not set."""
+    params = {k: p for k, p in inspect.signature(fn).parameters.items() if k not in resolved}
+    required = [name for name, p in params.items() if p.default is p.empty]
+    _check_keys(block, keys or params, where, required)
+    hints = typing.get_type_hints(fn)
     kwargs = dict(resolved)
     for key, value in block.items():
-        kwargs[key] = _typed(value, types[key], f"{where}: {key}")
-    return cls(**kwargs)
+        kwargs[key] = _typed(value, hints[key], f"{where}: {key}")
+    return fn(**kwargs)
 
 
 def load_config(path):
@@ -87,12 +92,8 @@ def load_config(path):
     output_dir). The cheap checks run before the dataset is built."""
     with open(path, encoding="utf-8") as f:
         cfg = yaml.safe_load(f)
-    _check_keys(
-        cfg, ("dataset", "split", "noise", "strategies", "train", "trials", "output_dir"), "config"
-    )
-    for key in ("dataset", "strategies", "train", "output_dir"):
-        if key not in cfg:
-            raise ConfigError(f"config missing required key {key!r}")
+    required = ("dataset", "noise", "strategies", "train", "output_dir")
+    _check_keys(cfg, (*required, "split", "trials"), "config", required)
     train_cfg = _from_config(trainer_mod.TrainConfig, cfg["train"], "train")
     trials = _typed(cfg.get("trials", 1), int, "trials")
     if trials < 1:
@@ -100,31 +101,22 @@ def load_config(path):
     if not isinstance(cfg["strategies"], list) or not cfg["strategies"]:
         raise ConfigError("strategies must be a non-empty list")
     output_dir = Path(_typed(cfg["output_dir"], str, "output_dir"))
-    splits, true_T, realized_fdr = _apply_noise(_build_dataset(cfg), cfg.get("noise"))
+    splits, true_T, realized_fdr = _apply_noise(_build_dataset(cfg), cfg["noise"])
     strategies = [_build_strategy(s, true_T, realized_fdr) for s in cfg["strategies"]]
+    if len({s.name for s in strategies}) < len(strategies):  # each writes output_dir/<name>
+        raise ConfigError(f"strategy names must be unique, got {[s.name for s in strategies]}")
     return splits, strategies, train_cfg, trials, output_dir
 
 
 def _build_dataset(cfg: dict):
     """The featurized dataset, split into (train, val, test)."""
     ds_cfg = cfg["dataset"]
-    _check_keys(ds_cfg, ("synth", "path", "k", "featurize_dims"), "dataset")
-    if "synth" in ds_cfg:
-        if "path" in ds_cfg:
-            raise ConfigError("dataset: give either synth or path, not both")
-        _check_keys(ds_cfg["synth"], ("k", "n", "margin", "seed", "dims"), "dataset.synth")
-        hints = typing.get_type_hints(data_mod.synth_dataset)
-        synth = {
-            key: _typed(value, hints[key], f"dataset.synth: {key}")
-            for key, value in ds_cfg["synth"].items()
-        }
-        try:
-            ds = data_mod.synth_dataset(**synth)
-        except TypeError as e:  # a missing parameter
-            raise ConfigError(f"dataset.synth: {e}") from None
+    if isinstance(ds_cfg, dict) and "synth" in ds_cfg:
+        _check_keys(ds_cfg, ("synth",), "dataset")
+        synth_keys = ("k", "n", "margin", "seed", "dims")
+        ds = _from_config(data_mod.synth_dataset, ds_cfg["synth"], "dataset.synth", synth_keys)
     else:
-        if "path" not in ds_cfg or "k" not in ds_cfg:
-            raise ConfigError("dataset needs path and k (or a synth block)")
+        _check_keys(ds_cfg, ("path", "k", "featurize_dims"), "dataset", ("path", "k"))
         path = _typed(ds_cfg["path"], str, "dataset: path")
         ds = data_mod.load_jsonl(path, _typed(ds_cfg["k"], int, "dataset: k"))
         dims = _typed(ds_cfg.get("featurize_dims", 2**18), int, "dataset: featurize_dims")
@@ -145,17 +137,20 @@ def _corrupt(ds, noise: dict, offset: int = 0):
     """Draw noisy labels for ``ds`` from a noise block, seeded with its seed
     plus ``offset``; returns (ds, T). Rule noise may drop examples, and its T
     is the empirical matrix of the pairs it produced."""
-    _check_keys(noise, ("type", "level", "seed", "matrix", "rules", "abstain_to_clean"), "noise")
+    if not isinstance(noise, dict):
+        raise ConfigError("noise must be a mapping")
     kind = noise.get("type")
-    if kind not in _NOISE_NEEDS:
+    if not isinstance(kind, str) or kind not in _NOISE_KEYS:
         raise ConfigError(f"unknown noise type {kind!r}")
-    if _NOISE_NEEDS[kind] not in noise:
-        raise ConfigError(f"noise type {kind} needs {_NOISE_NEEDS[kind]}")
+    keys = _NOISE_KEYS[kind]
+    _check_keys(noise, ("type", "seed", *keys), "noise", keys[:1])
     seed = _typed(noise.get("seed", 0), int, "noise: seed") + offset
     if kind == "rules":
         abstain = _typed(noise.get("abstain_to_clean", True), bool, "noise: abstain_to_clean")
         rules = noise_mod.RuleSet.load_jsonl(_typed(noise["rules"], str, "noise: rules"), abstain)
         ds = noise_mod.inject_rules(ds, rules)
+        if not ds.examples:
+            raise ConfigError("rule noise matched nothing in a split and abstain_to_clean is false")
         return ds, noise_mod.matrix_from_pairs(ds.clean_labels, ds.noisy_labels, ds.k)
     if kind == "matrix":
         T = noise_mod.TransitionMatrix.load_csv(_typed(noise["matrix"], str, "noise: matrix"))
@@ -184,7 +179,7 @@ def _build_strategy(s_cfg, true_T, realized_fdr: float):
         raise ConfigError(f"strategy entry must be a mapping, got {s_cfg!r}")
     block = dict(s_cfg)
     name = block.pop("name", None)
-    if name not in _STRATEGIES:
+    if not isinstance(name, str) or name not in _STRATEGIES:
         raise ConfigError(f"unknown strategy {name!r}")
     cls = _STRATEGIES[name]
     resolved = {}
@@ -201,7 +196,7 @@ def _build_strategy(s_cfg, true_T, realized_fdr: float):
 def cmd_inject(args) -> int:
     flags = {f: getattr(args, f) for f in ("level", "matrix", "rules")}
     given = {f: value for f, value in flags.items() if value is not None}
-    needs = _NOISE_NEEDS[args.type]
+    needs = _NOISE_KEYS[args.type][0]
     if set(given) != {needs}:
         print(f"inject: --type {args.type} takes exactly --{needs}", file=sys.stderr)
         return EXIT_USAGE
@@ -295,17 +290,17 @@ def _read_summary(path: Path, fields: dict = _SUMMARY_FIELDS) -> dict:
 
 
 def _collect_summaries(run_dirs):
+    found = (path for root in run_dirs for path in sorted(Path(root).rglob("summary.json")))
     summaries = []
-    for root in run_dirs:
-        for path in sorted(Path(root).rglob("summary.json")):
-            run_dir = path.parent
-            if (run_dir / FAILURE_MARKER).exists():
-                print(f"report: skipping failed run {run_dir}", file=sys.stderr)
-                continue
-            try:
-                summaries.append(_read_summary(path))
-            except ParseError as e:
-                print(f"report: skipping unreadable run {e}", file=sys.stderr)
+    for path in {path.resolve(): path for path in found}.values():  # each run once
+        run_dir = path.parent
+        if (run_dir / FAILURE_MARKER).exists():
+            print(f"report: skipping failed run {run_dir}", file=sys.stderr)
+            continue
+        try:
+            summaries.append(_read_summary(path))
+        except ParseError as e:
+            print(f"report: skipping unreadable run {e}", file=sys.stderr)
     return summaries
 
 
@@ -395,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--type", choices=list(_NOISE_NEEDS), required=True)
+    p.add_argument("--type", choices=list(_NOISE_KEYS), required=True)
     p.add_argument("--level", type=float)
     p.add_argument("--matrix")
     p.add_argument("--rules")

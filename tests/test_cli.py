@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 import noisylab as nl
-from noisylab.cli import aggregate_report, load_config, main
+from noisylab.cli import aggregate_report, build_parser, load_config, main
 from noisylab.errors import ConfigError
 from noisylab.model import accuracy, load_checkpoint
 
@@ -320,6 +321,14 @@ class TestRun:
             (lambda c: c.update(dataset={"path": ["d.jsonl"], "k": 3}), 2),
             (lambda c: _rules_on_text(c, rules=["rules.jsonl"]), 2),
             (lambda c: c.update(noise={"type": "matrix", "matrix": 5}), 2),
+            (lambda c: c["dataset"].update(k=7), 2),
+            (lambda c: c["dataset"].update(featurize_dims=3), 2),
+            (lambda c: c["noise"].update(rules="nope.jsonl"), 2),
+            (lambda c: c["noise"].update(matrix="nope.csv"), 2),
+            (lambda c: c["noise"].update(abstain_to_clean=False), 2),
+            (lambda c: c["strategies"].append({"name": "label_smoothing", "alpha": 0.5}), 2),
+            (lambda c: c["noise"].update(type=["uniform"]), 2),
+            (lambda c: c["strategies"].append({"name": ["vanilla"]}), 2),
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
@@ -332,7 +341,10 @@ class TestRun:
              *[f"noise_matrix_{name}" for name in _BAD_CSVS],
              *[f"nmat_matrix_{name}" for name in _BAD_CSVS], "nmat_matrix_false",
              "dataset_label_int", *[f"dataset_{name}" for name in _BAD_LINES],
-             "rule_class_bool", "dataset_path_list", "noise_rules_list", "noise_matrix_number"],
+             "rule_class_bool", "dataset_path_list", "noise_rules_list", "noise_matrix_number",
+             "synth_with_k", "synth_with_featurize_dims", "uniform_with_rules",
+             "uniform_with_matrix", "uniform_with_abstain", "duplicate_strategy",
+             "noise_type_list", "strategy_name_list"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, edit, code):
         cfg = _small_config(tmp_path, trials=1)
@@ -350,11 +362,30 @@ class TestRun:
             {"name": "no_validation"},
             {"name": "nmat", "matrix": True},
             {"name": "nmwr", "lam": 1e-4},
-            {"name": "nmwr"},
             {"name": "coteaching", "eps": 0.3, "ramp_epochs": 2},
             {"name": "label_smoothing", "alpha": 0.1},
         ]
         load_config(_write_config(tmp_path, cfg))
+        cfg["strategies"] = [{"name": "nmwr"}]
+        load_config(_write_config(tmp_path, cfg))
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda c: c.pop("noise"), "missing keys in config: ['noise']"),
+            (lambda c: _rules_on_text(c, abstain_to_clean=False, rules=_beside(
+                c, "no_match.jsonl", '{"keyword": "absent", "class": 1}\n')), "abstain_to_clean"),
+            (lambda c: c["strategies"].append({"name": "vanilla"}), "names must be unique"),
+        ],
+        ids=["noise_missing", "rules_empty_split", "duplicate_strategy"],
+    )
+    def test_config_error_names_its_cause(self, tmp_path, capsys, edit, expected):
+        cfg = _small_config(tmp_path, trials=1)
+        edit(cfg)
+        assert main(["run", str(_write_config(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and expected in err[0], err
+        assert not (tmp_path / "out").exists()
 
     def test_nmat_matrix_size_mismatch_fails_run(self, tmp_path, capsys):
         T3 = tmp_path / "T3.csv"
@@ -458,6 +489,12 @@ class TestReport:
 
     def test_no_runs_error(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
+
+    def test_overlapping_arguments_count_each_run_once(self, tmp_path, capsys):
+        _summaries(tmp_path, _SUMMARY, _SUMMARY)
+        out = tmp_path / "out"
+        assert main(["report", str(out), str(out), str(out / "vanilla" / "trial_1")]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("vanilla,2,")
 
 
 class TestDiagnose:
@@ -587,6 +624,14 @@ def test_report_diagnose_bad_input_one_line(tmp_path, setup, argv, code, expecte
         assert proc.stdout.splitlines()[1].startswith("vanilla,2,")
     else:
         assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in text.splitlines()]
+    parsed = [build_parser().parse_args(argv[1:]) for argv in commands if argv[:1] == ["noisylab"]]
+    assert sorted(args.command for args in parsed) == ["diagnose", "inject", "report", "run"]
 
 
 class TestEndToEndDeterminism:
