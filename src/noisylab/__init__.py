@@ -6,6 +6,7 @@ from .data import (
     Dataset,
     Example,
     SplitSpec,
+    compact_columns,
     featurize,
     load_jsonl,
     split,
@@ -42,6 +43,7 @@ __all__ = [
     "Dataset",
     "Example",
     "SplitSpec",
+    "compact_columns",
     "featurize",
     "load_jsonl",
     "split",

@@ -120,7 +120,7 @@ def _build_dataset(cfg: dict):
         path = _typed(ds_cfg["path"], str, "dataset: path")
         ds = data_mod.load_jsonl(path, _typed(ds_cfg["k"], int, "dataset: k"))
         dims = _typed(ds_cfg.get("featurize_dims", 2**18), int, "dataset: featurize_dims")
-        ds = data_mod.featurize(ds, dims)
+        ds = data_mod.compact_columns(data_mod.featurize(ds, dims))
     split_cfg = cfg.get("split", {})
     _check_keys(split_cfg, ("train", "val", "test", "seed"), "split")
     fractions = tuple(

@@ -3,7 +3,8 @@
 A Dataset carries examples with an optional pair of aligned label sequences:
 the true (clean) labels and the corrupted (noisy) labels. Features are one
 CSR matrix of sparse non-negative rows, built once either from hashed n-gram
-counts over text or by the synthetic generator used in experiments.
+counts over text or by the synthetic generator used in experiments. Hashed
+features can be compacted to the hash buckets the examples use.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class Dataset:
     clean_labels: np.ndarray | None = None
     noisy_labels: np.ndarray | None = None
     X: sp.csr_matrix | None = None
+    buckets: np.ndarray | None = None  # each column's hash bucket, once compacted
+    hash_dims: int | None = None  # the hash width the buckets index
 
     def __post_init__(self):
         if self.k < 2:
@@ -86,7 +89,8 @@ class Dataset:
 
     @property
     def dims(self) -> int | None:
-        """Feature dimensionality; None before featurization."""
+        """Number of feature columns; None before featurization. After
+        ``compact_columns`` it counts the used hash buckets, not ``hash_dims``."""
         return None if self.X is None else self.X.shape[1]
 
     def labels(self, use: str) -> np.ndarray:
@@ -222,6 +226,16 @@ def featurize(ds: Dataset, dims: int = 2**18) -> Dataset:
             vec[idx] = vec.get(idx, 0.0) + 1.0
         vecs.append(vec)
     return dataclasses.replace(ds, X=_stack_rows(vecs, dims))
+
+
+def compact_columns(ds: Dataset) -> Dataset:
+    """``ds`` with ``X`` over only the columns some example uses, renumbered in
+    ascending order, so each row keeps its entries in the same order. Records
+    each new column's old index in ``buckets`` and the old width in ``hash_dims``."""
+    X = feature_matrix(ds)
+    used, cols = np.unique(X.indices, return_inverse=True)
+    X = sp.csr_matrix((X.data, cols, X.indptr), shape=(X.shape[0], len(used)))
+    return dataclasses.replace(ds, X=X, buckets=used, hash_dims=ds.dims)
 
 
 def synth_dataset(

@@ -41,19 +41,41 @@ class Params:
 
 
 def init_params(
-    dims: int, k: int, seed: int, arch: str = "linear", hidden: int = 64
+    dims: int, k: int, seed: int, arch: str = "linear", hidden: int = 64, rows=None
 ) -> Params:
     """Seeded uniform init in [-0.05, 0.05]; each layer draws its weights,
-    then its bias."""
+    then its bias. With ``rows`` (ascending indices into ``dims``), ``w1`` is
+    those rows of the full draw, and every array is bitwise as in it."""
     if arch not in ARCHS:
         raise ConfigError(f"unknown architecture {arch!r}")
     sizes = [dims, k] if arch == "linear" else [dims, hidden, k]
     rng = np.random.default_rng(seed)
     arrays = []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
-        arrays.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(fan_in, fan_out)))
+        if rows is not None and not arrays:  # the first layer's weights
+            arrays.append(_uniform_rows(rng, rows, fan_in, fan_out))
+        else:
+            arrays.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(fan_in, fan_out)))
         arrays.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=fan_out))
     return Params(*arrays)
+
+
+def _uniform_rows(rng, rows, dims: int, width: int) -> np.ndarray:
+    """Rows ``rows`` of ``rng.uniform(size=(dims, width))``, leaving ``rng``
+    where that draw would. A double takes one 64-bit output, so each run of
+    consecutive rows is one draw after advancing the generator to its start."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or np.any((rows < 0) | (rows >= dims)):
+        raise ConfigError(f"rows must be ascending indices in [0,{dims})")
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
+    out = np.empty((len(rows), width))
+    at = 0  # the row the generator stands at
+    for s, e in zip(starts, starts[1:] + [len(rows)]):
+        rng.bit_generator.advance((int(rows[s]) - at) * width)
+        out[s:e] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(e - s, width))
+        at = int(rows[e - 1]) + 1
+    rng.bit_generator.advance((dims - at) * width)
+    return out
 
 
 def softmax(Z: np.ndarray) -> np.ndarray:

@@ -82,27 +82,27 @@ class RuleSet:
         return cls(rules=tuple(rules), abstain_to_clean=abstain_to_clean)
 
 
-def uniform_matrix(k: int, eps: float) -> TransitionMatrix:
-    """Keep the label w.p. 1-eps, spread eps evenly over the k-1 wrong classes."""
+def uniform_matrix(k: int, level: float) -> TransitionMatrix:
+    """Keep the label w.p. 1-level, spread level evenly over the k-1 wrong classes."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if not 0 <= eps < 1:
-        raise DomainError(f"eps must be in [0,1), got {eps}")
-    rows = np.full((k, k), eps / (k - 1))
-    np.fill_diagonal(rows, 1.0 - eps)
+    if not 0 <= level < 1:
+        raise DomainError(f"level must be in [0,1), got {level}")
+    rows = np.full((k, k), level / (k - 1))
+    np.fill_diagonal(rows, 1.0 - level)
     return TransitionMatrix(k=k, rows=rows)
 
 
-def single_flip_matrix(k: int, eps: float) -> TransitionMatrix:
-    """Send eps mass of each class i to the one wrong class (i+1) mod k."""
+def single_flip_matrix(k: int, level: float) -> TransitionMatrix:
+    """Send level mass of each class i to the one wrong class (i+1) mod k."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if not 0 <= eps < 1:
-        raise DomainError(f"eps must be in [0,1), got {eps}")
+    if not 0 <= level < 1:
+        raise DomainError(f"level must be in [0,1), got {level}")
     rows = np.zeros((k, k))
     for i in range(k):
-        rows[i, i] = 1.0 - eps
-        rows[i, (i + 1) % k] = eps
+        rows[i, i] = 1.0 - level
+        rows[i, (i + 1) % k] = level
     return TransitionMatrix(k=k, rows=rows)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, feature_matrix
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .model import ARCHS, Params, _forward_batch, accuracy, init_params, step
 from .strategies import CoTeaching, NoValidation, Strategy, coteach_select, keep_fraction
 
@@ -123,24 +123,26 @@ def train(
     no_validation = isinstance(strategy, NoValidation)
     coteach = isinstance(strategy, CoTeaching)
 
+    if not all(np.array_equal(ds.buckets, train_ds.buckets) for ds in (val_ds, test_ds)):
+        raise ShapeError("train, val and test must share one column numbering")
+
     loss_fn = strategy.loss(k)
-    params = init_params(train_ds.dims, k, cfg.seed, arch=cfg.arch, hidden=cfg.hidden)
+    # A compacted dataset's model is the used rows of the hash-width model.
+    dims = train_ds.hash_dims or train_ds.dims
+    init = dict(arch=cfg.arch, hidden=cfg.hidden, rows=train_ds.buckets)
+    params = init_params(dims, k, cfg.seed, **init)
     if coteach:
-        params_b = init_params(
-            train_ds.dims, k, cfg.seed + 1, arch=cfg.arch, hidden=cfg.hidden
-        )
+        params_b = init_params(dims, k, cfg.seed + 1, **init)
 
     record = RunRecord()
     losses: list[float] = []  # the mean batch loss of every step
     best_acc = -1.0
-    # NoValidation reports its final parameters; the others keep the best seen.
-    best_params = params if no_validation else params.copy()
-    # The w1 rows that steps may have changed since best_params last copied them.
-    dirty = np.zeros(train_ds.dims, dtype=bool)
+    # NoValidation reports its final parameters; the others copy the best seen.
+    best_params = params
     evals_since_best = 0
 
     def run_eval():
-        nonlocal best_acc, evals_since_best
+        nonlocal best_acc, best_params, evals_since_best
         val_acc = accuracy(params, Xval, val_labels)
         test_acc = accuracy(params, Xte, test_labels)
         since = losses[record.entries[-1].step if record.entries else 0 :]
@@ -150,12 +152,7 @@ def train(
             record.best_step = len(losses)
         elif val_acc > best_acc:
             best_acc = val_acc
-            best_params.w1[dirty] = params.w1[dirty]
-            best_params.b1[...] = params.b1
-            if params.w2 is not None:
-                best_params.w2[...] = params.w2
-                best_params.b2[...] = params.b2
-            dirty[:] = False
+            best_params = params.copy()
             record.best_step = len(losses)
             evals_since_best = 0
         else:
@@ -170,7 +167,6 @@ def train(
         for start in range(0, n, cfg.batch_size):
             X = Xe[start : start + cfg.batch_size]
             y = ye[start : start + cfg.batch_size]
-            dirty[X.indices] = True
             if coteach:
                 probs_a, _ = _forward_batch(params, X)
                 probs_b, _ = _forward_batch(params_b, X)

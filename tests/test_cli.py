@@ -94,6 +94,10 @@ _BAD_LINES = {
 }
 
 
+# Cases of test_config_exit_code_without_traceback whose message must name its key.
+_NAMED_IN_MESSAGE = {"level_1.5": "run: level must be in [0,1), got 1.5"}
+
+
 def _cli(*argv):
     """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
     src = str(Path(nl.__file__).resolve().parents[1])
@@ -232,6 +236,17 @@ class TestInject:
         assert len(err) == 1 and err[0].startswith("inject:") and "-1" in err[0]
         assert not (tmp_path / "o.jsonl").exists()
 
+    def test_level_out_of_range_names_level(self, tmp_path, capsys):
+        src = tmp_path / "clean.jsonl"
+        _write_clean_jsonl(src, n=10)
+        code = main(
+            ["inject", "--input", str(src), "--output", str(tmp_path / "o.jsonl"),
+             "--k", "4", "--type", "uniform", "--level", "1.5"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["inject: level must be in [0,1), got 1.5"]
+
     def test_unwritable_output_one_line_failure(self, tmp_path, capsys):
         src = tmp_path / "clean.jsonl"
         _write_clean_jsonl(src, n=10)
@@ -346,13 +361,14 @@ class TestRun:
              "uniform_with_matrix", "uniform_with_abstain", "duplicate_strategy",
              "noise_type_list", "strategy_name_list"],
     )
-    def test_config_exit_code_without_traceback(self, tmp_path, edit, code):
+    def test_config_exit_code_without_traceback(self, tmp_path, request, edit, code):
         cfg = _small_config(tmp_path, trials=1)
         edit(cfg)
         proc = _cli("run", str(_write_config(tmp_path, cfg)))
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == (code != 0), proc.stderr
+        assert _NAMED_IN_MESSAGE.get(request.node.callspec.id, "") in proc.stderr
 
     def test_accepted_keys_are_dataclass_fields(self, tmp_path):
         cfg = _small_config(tmp_path)
@@ -418,8 +434,11 @@ class TestRun:
         with pytest.raises(ConfigError):
             load_config(_write_config(tmp_path, cfg))
 
-    def test_best_acc_reproducible_from_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("text", [False, True], ids=["synth", "text"])
+    def test_best_acc_reproducible_from_checkpoint(self, tmp_path, text):
         cfg = _small_config(tmp_path)
+        if text:
+            _rules_on_text(cfg)
         cfg_path = _write_config(tmp_path, cfg)
         assert main(["run", str(cfg_path)]) == 0
         run_dir = tmp_path / "out" / "vanilla" / "trial_0"
@@ -427,6 +446,9 @@ class TestRun:
         params = load_checkpoint(run_dir / "best.npz")
         (_, _, test_ds), *_ = load_config(cfg_path)
         assert accuracy(params, test_ds.X, test_ds.labels("clean")) == summary["best_test_acc"]
+        if text:  # one w1 row per hash bucket the corpus uses
+            full = nl.featurize(nl.load_jsonl(tmp_path / "text.jsonl", 3), 1024)
+            assert params.w1.shape[0] == len(np.unique(full.X.indices)) < 1024
 
 
 class TestReport:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -231,6 +232,23 @@ class TestFeaturize:
                 clean_labels=np.array([0, 1]),
                 X=X,
             )
+
+
+class TestCompactColumns:
+    @given(texts=st.lists(st.text(alphabet="ab cd", min_size=1, max_size=12), min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_maps_back_to_the_hashed_columns(self, texts):
+        ds = nl.Dataset(
+            examples=tuple(nl.Example(id=str(i), text=t) for i, t in enumerate(texts)),
+            k=2,
+            clean_labels=np.zeros(len(texts), dtype=np.int64),
+        )
+        full = nl.featurize(ds, 64)
+        out = nl.compact_columns(full)
+        assert out.hash_dims == 64 and out.dims == len(out.buckets)
+        assert np.array_equal(out.buckets, np.unique(full.X.indices))
+        back = sp.csr_matrix((out.X.data, out.buckets[out.X.indices], out.X.indptr), shape=full.X.shape)
+        assert _same_csr(back, full.X)  # each row keeps its entries, in order
 
 
 class TestSynthDataset:

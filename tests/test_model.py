@@ -5,7 +5,7 @@ import zipfile
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noisylab as nl
@@ -302,6 +302,34 @@ class TestInit:
         shapes = [(7, 3), 3] if arch == "linear" else [(7, 5), 5, (5, 3), 3]
         expected = [rng.uniform(-0.05, 0.05, size=shape) for shape in shapes]
         assert [a.tobytes() for _, a in _flatten(p)] == [a.tobytes() for a in expected]
+
+    @given(
+        arch=st.sampled_from(["linear", "mlp"]),
+        seed=st.integers(0, 2**32),
+        dims_rows=st.integers(1, 40).flatmap(
+            lambda dims: st.tuples(st.just(dims), st.sets(st.integers(0, dims - 1)).map(sorted))
+        ),
+    )
+    @example(arch="mlp", seed=1, dims_rows=(1, [0]))
+    @example(arch="mlp", seed=2, dims_rows=(10, [0, 9]))
+    @example(arch="linear", seed=3, dims_rows=(10, [2, 3, 4, 7, 8]))
+    @example(arch="mlp", seed=4, dims_rows=(10, [5]))
+    @example(arch="linear", seed=5, dims_rows=(10, list(range(10))))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_those_rows_of_the_full_draw(self, arch, seed, dims_rows):
+        dims, rows = dims_rows
+        full = nl.init_params(dims, 3, seed, arch=arch, hidden=5)
+        part = nl.init_params(dims, 3, seed, arch=arch, hidden=5, rows=rows)
+        expected = dict(_flatten(full), w1=full.w1[rows])
+        assert [(n, a.tobytes()) for n, a in _flatten(part)] == [
+            (n, expected[n].tobytes()) for n, _ in _flatten(full)
+        ]
+
+    @pytest.mark.parametrize("rows", [[3, 1], [1, 1], [-1, 2], [2, 8], [[0, 1]]],
+                             ids=["descending", "repeated", "negative", "past_dims", "2d"])
+    def test_rows_must_be_ascending_indices(self, rows):
+        with pytest.raises(ConfigError, match="ascending"):
+            nl.init_params(8, 2, seed=0, rows=rows)
 
     def test_unknown_arch(self):
         with pytest.raises(ConfigError, match="cnn"):

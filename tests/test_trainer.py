@@ -5,9 +5,9 @@ import pytest
 
 import noisylab as nl
 from noisylab import trainer
-from noisylab.errors import ConfigError
+from noisylab.errors import ConfigError, ShapeError
 from noisylab.model import accuracy
-from conftest import with_noise
+from conftest import keyword_corpus, with_noise
 
 
 def _cfg(**kw):
@@ -141,6 +141,44 @@ class TestTrain:
         )
         rec, _, _ = nl.train(tr, va, te, nl.NMwR(lam=1e-4), cfg)
         assert rec.final_entry.test_acc >= 0.9
+
+
+def _text_splits(ds):
+    tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=31))
+    return with_noise(tr, 0.3, seed=32), with_noise(va, 0.3, seed=33), te
+
+
+class TestCompactedText:
+    @pytest.mark.parametrize(
+        "strategy, arch",
+        [(nl.Vanilla(), "linear"), (nl.Vanilla(), "mlp"), (nl.CoTeaching(eps=0.3, ramp_epochs=2), "mlp")],
+        ids=["linear", "mlp", "coteaching"],
+    )
+    def test_bitwise_the_full_width_run(self, strategy, arch):
+        full = nl.featurize(keyword_corpus(n=400, seed=30), 2**14)
+        compact = nl.compact_columns(full)
+        assert compact.dims < full.dims
+        cfg = _cfg(max_epochs=3, eval_every=4, arch=arch, hidden=8)
+        runs = []
+        for splits in (_text_splits(full), _text_splits(compact)):
+            rec, best, final = nl.train(*splits, strategy, cfg)
+            snap = nl.snapshot_losses(best, splits[0], step=rec.best_step)
+            runs.append((rec, best, final, snap.losses))
+        (rec, best, final, losses), (c_rec, c_best, c_final, c_losses) = runs
+        assert c_rec.entries == rec.entries and c_rec.best_step == rec.best_step
+        assert c_losses.tobytes() == losses.tobytes()
+        for p, c in ((best, c_best), (final, c_final)):
+            expected = dict(p.arrays(), w1=p.w1[compact.buckets])
+            assert {name: a.tobytes() for name, a in c.arrays().items()} == {
+                name: a.tobytes() for name, a in expected.items()
+            }
+
+    def test_splits_must_share_one_numbering(self):
+        # compacting each split on its own numbers their columns differently
+        splits = _text_splits(nl.featurize(keyword_corpus(n=100, seed=34), 2**10))
+        tr, va, te = (nl.compact_columns(ds) for ds in splits)
+        with pytest.raises(ShapeError, match="numbering"):
+            nl.train(tr, va, te, nl.Vanilla(), _cfg())
 
 
 def _scripted(monkeypatch, losses):
