@@ -5,10 +5,10 @@ diagnostics."""
 from .data import (
     Dataset,
     Example,
-    SplitSpec,
     compact_columns,
     featurize,
     load_jsonl,
+    load_text,
     split,
     synth_dataset,
     write_jsonl,
@@ -42,10 +42,10 @@ from .diagnostics import LossSnapshot, RocCurve, histogram, roc, snapshot_losses
 __all__ = [
     "Dataset",
     "Example",
-    "SplitSpec",
     "compact_columns",
     "featurize",
     "load_jsonl",
+    "load_text",
     "split",
     "synth_dataset",
     "write_jsonl",

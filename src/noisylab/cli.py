@@ -40,6 +40,7 @@ FAILURE_MARKER = "FAILED"
 # Each noise type's own keys, besides type and seed; the first is required.
 _NOISE_KEYS = {"uniform": ("level",), "sflip": ("level",), "matrix": ("matrix",),
                "rules": ("rules", "abstain_to_clean")}
+_FAMILIES = {"uniform": noise_mod.uniform_matrix, "sflip": noise_mod.single_flip_matrix}
 
 _STRATEGIES = {cls.name: cls for cls in typing.get_args(strat_mod.Strategy)}
 
@@ -72,14 +73,16 @@ def _typed(value, tp, what: str):
     return out
 
 
-def _from_config(fn, block, where: str, keys=None, **resolved):
+def _from_config(fn, block, where: str, **resolved):
     """Call ``fn`` (a dataclass or a function) with a config block keyed by its
-    parameters, each converted to its declared type; one without a default is
-    required. ``keys`` narrows what the block may set, and ``resolved`` holds
-    parameters the caller works out itself, which the block may not set."""
-    params = {k: p for k, p in inspect.signature(fn).parameters.items() if k not in resolved}
+    positional-or-keyword parameters, each converted to its declared type; one
+    without a default is required. Keyword-only parameters keep their defaults,
+    and ``resolved`` holds parameters the caller works out itself, which the
+    block may not set."""
+    params = {k: p for k, p in inspect.signature(fn).parameters.items()
+              if p.kind is p.POSITIONAL_OR_KEYWORD and k not in resolved}
     required = [name for name, p in params.items() if p.default is p.empty]
-    _check_keys(block, keys or params, where, required)
+    _check_keys(block, params, where, required)
     hints = typing.get_type_hints(fn)
     kwargs = dict(resolved)
     for key, value in block.items():
@@ -113,24 +116,10 @@ def _build_dataset(cfg: dict):
     ds_cfg = cfg["dataset"]
     if isinstance(ds_cfg, dict) and "synth" in ds_cfg:
         _check_keys(ds_cfg, ("synth",), "dataset")
-        synth_keys = ("k", "n", "margin", "seed", "dims")
-        ds = _from_config(data_mod.synth_dataset, ds_cfg["synth"], "dataset.synth", synth_keys)
+        ds = _from_config(data_mod.synth_dataset, ds_cfg["synth"], "dataset.synth")
     else:
-        _check_keys(ds_cfg, ("path", "k", "featurize_dims"), "dataset", ("path", "k"))
-        path = _typed(ds_cfg["path"], str, "dataset: path")
-        ds = data_mod.load_jsonl(path, _typed(ds_cfg["k"], int, "dataset: k"))
-        dims = _typed(ds_cfg.get("featurize_dims", 2**18), int, "dataset: featurize_dims")
-        ds = data_mod.compact_columns(data_mod.featurize(ds, dims))
-    split_cfg = cfg.get("split", {})
-    _check_keys(split_cfg, ("train", "val", "test", "seed"), "split")
-    fractions = tuple(
-        _typed(split_cfg.get(key, default), float, f"split: {key}")
-        for key, default in (("train", 0.8), ("val", 0.1), ("test", 0.1))
-    )
-    if not all(f > 0 for f in fractions):  # then no split comes out empty
-        raise ConfigError(f"split fractions must be > 0, got {fractions}")
-    seed = _typed(split_cfg.get("seed", 0), int, "split: seed")
-    return data_mod.split(ds, data_mod.SplitSpec(fractions, seed))
+        ds = _from_config(data_mod.load_text, ds_cfg, "dataset")
+    return _from_config(data_mod.split, cfg.get("split", {}), "split", ds=ds)
 
 
 def _corrupt(ds, noise: dict, offset: int = 0):
@@ -155,8 +144,7 @@ def _corrupt(ds, noise: dict, offset: int = 0):
     if kind == "matrix":
         T = noise_mod.TransitionMatrix.load_csv(_typed(noise["matrix"], str, "noise: matrix"))
     else:
-        family = noise_mod.uniform_matrix if kind == "uniform" else noise_mod.single_flip_matrix
-        T = family(ds.k, _typed(noise["level"], float, "noise: level"))
+        T = _FAMILIES[kind](ds.k, _typed(noise["level"], float, "noise: level"))
     return dataclasses.replace(ds, noisy_labels=noise_mod.inject(ds.clean_labels, T, seed)), T
 
 
@@ -197,8 +185,13 @@ def cmd_inject(args) -> int:
     flags = {f: getattr(args, f) for f in ("level", "matrix", "rules")}
     given = {f: value for f, value in flags.items() if value is not None}
     needs = _NOISE_KEYS[args.type][0]
-    if set(given) != {needs}:
-        print(f"inject: --type {args.type} takes exactly --{needs}", file=sys.stderr)
+    try:  # usage errors, found before any file is read
+        if set(given) != {needs}:
+            raise ConfigError(f"--type {args.type} takes exactly --{needs}")
+        if args.level is not None:  # the level's range check, made by its matrix family
+            _FAMILIES[args.type](args.k, args.level)
+    except NoisyLabError as e:
+        print(f"inject: {e}", file=sys.stderr)
         return EXIT_USAGE
     ds = data_mod.load_jsonl(args.input, args.k)
     if ds.clean_labels is None:
@@ -368,16 +361,19 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer that is at least ``low``."""
+    def integer(text: str) -> int:  # argparse reports a ValueError as an "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # one line, without the usage text
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+    def error(self, message):  # one line, named by its subcommand, without the usage text
+        self.exit(EXIT_USAGE, f"{self.prog.split()[-1]}: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,12 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="corrupt a clean JSONL dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(2), required=True)
     p.add_argument("--type", choices=list(_NOISE_KEYS), required=True)
     p.add_argument("--level", type=float)
     p.add_argument("--matrix")
     p.add_argument("--rules")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("run", help="run a strategy sweep from a config file")
@@ -408,13 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="histogram/ROC CSVs for a finished run")
     p.add_argument("run_dir")
-    p.add_argument("--bins", type=_positive_int, default=50)
+    p.add_argument("--bins", type=_int_at_least(1), default=50)
     p.set_defaults(func=cmd_diagnose)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # a usage error, already reported, or --help
+        return e.code
     try:
         return args.func(args)
     except (NoisyLabError, OSError) as e:

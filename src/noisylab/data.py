@@ -113,20 +113,6 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    fractions: tuple[float, float, float]
-    seed: int
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise DomainError(f"split seed must be non-negative, got {self.seed}")
-        if any(f < 0 for f in self.fractions):
-            raise DomainError("split fractions must be non-negative")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise DomainError(f"split fractions sum to {sum(self.fractions)}, not 1")
-
-
 def read_jsonl(path):
     """``(line number, record)`` for each non-blank line of a JSONL file; a line
     that is not one JSON object is a ``ParseError`` naming the file and line."""
@@ -183,22 +169,27 @@ def write_jsonl(ds: Dataset, path) -> None:
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Seeded shuffle then partition; floor-rounded sizes, remainder to train."""
+def split(ds: Dataset, train: float = 0.8, val: float = 0.1, test: float = 0.1,
+          seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
+    """Seeded shuffle then partition; floor-rounded sizes, remainder to train.
+    Every fraction must be > 0 and they must sum to 1."""
+    if seed < 0:
+        raise DomainError(f"split seed must be non-negative, got {seed}")
+    fractions = (train, val, test)
+    if not all(f > 0 for f in fractions):
+        raise DomainError(f"split fractions must be > 0, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise DomainError(f"split fractions sum to {sum(fractions)}, not 1")
     n = len(ds)
     if n == 0:
         raise SizeError("cannot split an empty dataset")
-    f_train, f_val, f_test = spec.fractions
-    n_val = int(math.floor(f_val * n))
-    n_test = int(math.floor(f_test * n))
+    n_val = int(math.floor(val * n))
+    n_test = int(math.floor(test * n))
     n_train = n - n_val - n_test
-    if f_val > 0 and n_val == 0:
-        raise SizeError(f"val fraction {f_val} yields empty split at n={n}")
-    if f_test > 0 and n_test == 0:
-        raise SizeError(f"test fraction {f_test} yields empty split at n={n}")
-    if f_train > 0 and n_train == 0:
-        raise SizeError(f"train fraction {f_train} yields empty split at n={n}")
-    perm = np.random.default_rng(spec.seed).permutation(n)
+    for name, f, size in (("val", val, n_val), ("test", test, n_test), ("train", train, n_train)):
+        if size == 0:
+            raise SizeError(f"{name} fraction {f} yields empty split at n={n}")
+    perm = np.random.default_rng(seed).permutation(n)
     return (
         ds.subset(perm[:n_train]),
         ds.subset(perm[n_train : n_train + n_val]),
@@ -228,6 +219,11 @@ def featurize(ds: Dataset, dims: int = 2**18) -> Dataset:
     return dataclasses.replace(ds, X=_stack_rows(vecs, dims))
 
 
+def load_text(path: str, k: int, featurize_dims: int = 2**18) -> Dataset:
+    """A JSONL text dataset, featurized and compacted to the buckets it uses."""
+    return compact_columns(featurize(load_jsonl(path, k), featurize_dims))
+
+
 def compact_columns(ds: Dataset) -> Dataset:
     """``ds`` with ``X`` over only the columns some example uses, renumbered in
     ascending order, so each row keeps its entries in the same order. Records
@@ -244,6 +240,7 @@ def synth_dataset(
     margin: float,
     seed: int,
     dims: int = 1024,
+    *,
     proto_size: int = 16,
     noise_size: int = 16,
 ) -> Dataset:

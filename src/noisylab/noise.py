@@ -42,12 +42,10 @@ class TransitionMatrix:
             i = int(np.argmax(bad))
             raise DomainError(f"row {i} sums to {sums[i]}, not 1")
 
-    def save_csv(self, path) -> None:
-        np.savetxt(path, self.rows, delimiter=",", fmt="%.17g")
-
     @classmethod
     def load_csv(cls, path) -> "TransitionMatrix":
-        """The matrix ``save_csv`` wrote; a file that is not rows of numbers is a ``ParseError``."""
+        """The matrix in a CSV file of k rows of k numbers; a file that is not
+        rows of numbers is a ``ParseError``."""
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)  # numpy warns on an empty file
@@ -66,8 +64,8 @@ class RuleSet:
 
     def __post_init__(self):
         for kw, c in self.rules:
-            if not kw:
-                raise DomainError("empty keyword in rule set")
+            if tokenize(kw) != [kw.lower()]:  # inject_rules matches whole tokens only
+                raise DomainError(f"rule keyword {kw!r} is not one token, so it never matches")
             if c < 0:
                 raise DomainError(f"negative class in rule ({kw!r}, {c})")
 

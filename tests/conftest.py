@@ -100,7 +100,7 @@ def dense_reference_step(p, X, labels, lr, loss_fn):
 def small_noisy_splits():
     """Small featurized train/val/test with 40% uniform noise on train+val."""
     ds = nl.synth_dataset(k=4, n=400, margin=0.8, seed=1)
-    tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=2))
+    tr, va, te = nl.split(ds, seed=2)
     tr = with_noise(tr, 0.4, seed=3)
     va = with_noise(va, 0.4, seed=4)
     return tr, va, te

@@ -48,7 +48,7 @@ def memo_splits():
     within the epoch budget, which produces the peak-then-decline curve.
     """
     ds = nl.synth_dataset(k=4, n=4000, margin=0.5, seed=11, noise_size=32)
-    tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=12))
+    tr, va, te = nl.split(ds, seed=12)
     tr = with_noise(tr, 0.4, seed=13)
     va = with_noise(va, 0.4, seed=14)
     return tr, va, te
@@ -174,7 +174,7 @@ def test_criterion_3_gradient_correctness():
 
 def test_criterion_4_strategy_degeneracy_identities():
     ds = nl.synth_dataset(k=4, n=500, margin=0.8, seed=40)
-    tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=41))
+    tr, va, te = nl.split(ds, seed=41)
     tr = with_noise(tr, 0.4, seed=42)
     va = with_noise(va, 0.4, seed=43)
     cfg = nl.TrainConfig(lr=1.0, batch_size=32, max_epochs=3, eval_every=5, patience=10**9, seed=44)
@@ -255,7 +255,7 @@ def test_criterion_7_separability_trend():
 
     def run(noisy_ds):
         feats = nl.featurize(noisy_ds, 2**12)
-        tr, va, te = nl.split(feats, nl.SplitSpec((0.8, 0.1, 0.1), seed=7))
+        tr, va, te = nl.split(feats, seed=7)
         rec, best, _ = nl.train(tr, va, te, nl.Vanilla(), cfg)
         snap = nl.snapshot_losses(best, tr, step=rec.best_step)
         return nl.roc(snap).auc, nl.fdr(tr.clean_labels, tr.noisy_labels)

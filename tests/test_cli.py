@@ -95,7 +95,11 @@ _BAD_LINES = {
 
 
 # Cases of test_config_exit_code_without_traceback whose message must name its key.
-_NAMED_IN_MESSAGE = {"level_1.5": "run: level must be in [0,1), got 1.5"}
+_NAMED_IN_MESSAGE = {
+    "level_1.5": "run: level must be in [0,1), got 1.5",
+    "synth_noise_size": "unknown keys in dataset.synth: ['noise_size']",
+    "rule_keyword_two_tokens": "rule keyword 'New York'",
+}
 
 
 def _cli(*argv):
@@ -231,7 +235,7 @@ class TestInject:
             ["inject", "--input", str(src), "--output", str(tmp_path / "o.jsonl"),
              "--k", "4", "--type", "uniform", "--level", "0.4", "--seed", "-1"]
         )
-        assert code == 1
+        assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("inject:") and "-1" in err[0]
         assert not (tmp_path / "o.jsonl").exists()
@@ -243,9 +247,31 @@ class TestInject:
             ["inject", "--input", str(src), "--output", str(tmp_path / "o.jsonl"),
              "--k", "4", "--type", "uniform", "--level", "1.5"]
         )
-        assert code == 1
+        assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["inject: level must be in [0,1), got 1.5"]
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--k", "4", "--type", "sflip", "--level", "nan"],
+             "inject: level must be in [0,1), got nan"),
+            (["--type", "uniform", "--level", "0.4", "--k", "1"], "inject: argument --k:"),
+            (["--type", "rules", "--rules", "r.jsonl", "--k", "1"], "inject: argument --k:"),
+            (["--k", "4", "--type", "matrix", "--matrix", "T.csv", "--seed", "-1"],
+             "inject: argument --seed:"),
+        ],
+        ids=["level_nan", "k_1", "rules_k_1", "matrix_seed_-1"],
+    )
+    def test_bad_flag_value_usage_error_before_reading_files(self, tmp_path, capsys, flags, expected):
+        """The input, rules and matrix files do not exist: no file is read."""
+        out = tmp_path / "o.jsonl"
+        code = main(["inject", "--input", str(tmp_path / "in.jsonl"), "--output", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(expected), err
+        assert flags[-1] in err[0]
+        assert not out.exists()
 
     def test_unwritable_output_one_line_failure(self, tmp_path, capsys):
         src = tmp_path / "clean.jsonl"
@@ -344,6 +370,10 @@ class TestRun:
             (lambda c: c["strategies"].append({"name": "label_smoothing", "alpha": 0.5}), 2),
             (lambda c: c["noise"].update(type=["uniform"]), 2),
             (lambda c: c["strategies"].append({"name": ["vanilla"]}), 2),
+            (lambda c: c["dataset"]["synth"].update(noise_size=32), 2),
+            (lambda c: c["dataset"]["synth"].update(proto_size=8), 2),
+            (lambda c: _rules_on_text(c, rules=_beside(
+                c, "two_tokens.jsonl", '{"keyword": "New York", "class": 1}\n')), 2),
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
@@ -359,7 +389,8 @@ class TestRun:
              "rule_class_bool", "dataset_path_list", "noise_rules_list", "noise_matrix_number",
              "synth_with_k", "synth_with_featurize_dims", "uniform_with_rules",
              "uniform_with_matrix", "uniform_with_abstain", "duplicate_strategy",
-             "noise_type_list", "strategy_name_list"],
+             "noise_type_list", "strategy_name_list", "synth_noise_size", "synth_proto_size",
+             "rule_keyword_two_tokens"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, request, edit, code):
         cfg = _small_config(tmp_path, trials=1)
@@ -405,7 +436,7 @@ class TestRun:
 
     def test_nmat_matrix_size_mismatch_fails_run(self, tmp_path, capsys):
         T3 = tmp_path / "T3.csv"
-        nl.uniform_matrix(3, 0.2).save_csv(T3)
+        np.savetxt(T3, nl.uniform_matrix(3, 0.2).rows, delimiter=",", fmt="%.17g")
         cfg = _small_config(tmp_path, trials=1)
         cfg["dataset"]["synth"]["k"] = 4
         cfg["strategies"] = [{"name": "nmat", "matrix": str(T3)}]

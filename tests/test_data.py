@@ -112,32 +112,39 @@ class TestLoadJsonl:
 class TestSplit:
     def test_sizes_10(self):
         ds = nl.synth_dataset(k=2, n=10, margin=1.0, seed=0)
-        tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=1))
+        tr, va, te = nl.split(ds, seed=1)
         assert (len(tr), len(va), len(te)) == (8, 1, 1)
 
     def test_deterministic(self):
         ds = nl.synth_dataset(k=2, n=50, margin=1.0, seed=0)
-        spec = nl.SplitSpec((0.8, 0.1, 0.1), seed=1)
-        a = nl.split(ds, spec)
-        b = nl.split(ds, spec)
+        a = nl.split(ds, seed=1)
+        b = nl.split(ds, seed=1)
         for x, y in zip(a, b):
             assert [e.id for e in x.examples] == [e.id for e in y.examples]
 
     def test_remainder_to_train(self):
-        ds = nl.synth_dataset(k=2, n=100, margin=1.0, seed=0)
-        tr, va, te = nl.split(ds, nl.SplitSpec((0.9, 0.1, 0.0), seed=1))
-        assert (len(tr), len(va), len(te)) == (90, 10, 0)
+        ds = nl.synth_dataset(k=2, n=109, margin=1.0, seed=0)
+        tr, va, te = nl.split(ds, seed=1)
+        assert (len(tr), len(va), len(te)) == (89, 10, 10)
 
     def test_empty_split_error(self):
         ds = nl.synth_dataset(k=2, n=4, margin=1.0, seed=0)
         with pytest.raises(SizeError):
-            nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=1))
+            nl.split(ds, seed=1)
+
+    @pytest.mark.parametrize(
+        "fractions", [(0.9, 0.0, 0.1), (0.9, 0.1, 0.0), (0.0, 0.5, 0.5), (1.1, -0.05, -0.05)]
+    )
+    def test_fraction_not_positive_rejected(self, fractions):
+        ds = nl.synth_dataset(k=2, n=100, margin=1.0, seed=0)
+        with pytest.raises(DomainError, match="must be > 0"):
+            nl.split(ds, *fractions)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_partition_property(self, seed):
         ds = nl.synth_dataset(k=3, n=47, margin=0.9, seed=9)
-        parts = nl.split(ds, nl.SplitSpec((0.7, 0.2, 0.1), seed=seed))
+        parts = nl.split(ds, 0.7, 0.2, 0.1, seed=seed)
         ids = [e.id for p in parts for e in p.examples]
         assert sorted(ids) == sorted(e.id for e in ds.examples)
         # labels travel with examples
@@ -268,7 +275,7 @@ class TestSynthDataset:
     def test_logistic_regression_bound(self):
         # frozen regression: reference trainer reached 1.0 on this fixture
         ds = nl.synth_dataset(k=4, n=1000, margin=0.8, seed=5)
-        tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=6))
+        tr, va, te = nl.split(ds, seed=6)
         tr = dataclasses.replace(tr, noisy_labels=tr.clean_labels)
         va = dataclasses.replace(va, noisy_labels=va.clean_labels)
         cfg = nl.TrainConfig(lr=1.0, max_epochs=10, eval_every=25, patience=100, seed=1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,15 @@ class TestInjectRules:
         with pytest.raises(ConfigError, match="'1' has none"):
             nl.inject_rules(ds, nl.RuleSet(rules=(("lagos", 2),)))
 
+    @pytest.mark.parametrize("keyword", ["New York", "C++", "hello.", ""])
+    def test_keyword_that_is_not_one_token_rejected(self, keyword):
+        with pytest.raises(DomainError, match=re.escape(f"rule keyword {keyword!r}")):
+            nl.RuleSet(rules=(("lagos", 2), (keyword, 1)))
+
+    def test_keyword_case_is_ignored(self):
+        rules = nl.RuleSet(rules=(("Lagos", 2),))
+        assert nl.inject_rules(self._corpus(["traffic in lagos"], [0]), rules).noisy_labels[0] == 2
+
 
 class TestFdr:
     def test_quarter(self):
@@ -249,7 +260,7 @@ class TestMatrixIO:
     def test_csv_round_trip(self, tmp_path):
         T = nl.uniform_matrix(4, 0.35)
         path = tmp_path / "m.csv"
-        T.save_csv(path)
+        np.savetxt(path, T.rows, delimiter=",", fmt="%.17g")
         back = nl.TransitionMatrix.load_csv(path)
         assert np.allclose(back.rows, T.rows, atol=1e-12)
 

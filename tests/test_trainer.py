@@ -50,7 +50,7 @@ class TestTrain:
 
     def test_zero_noise_no_memorization_gap(self):
         ds = nl.synth_dataset(k=3, n=300, margin=1.0, seed=21)
-        tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=22))
+        tr, va, te = nl.split(ds, seed=22)
         tr = dataclasses.replace(tr, noisy_labels=tr.clean_labels)
         va = dataclasses.replace(va, noisy_labels=va.clean_labels)
         rec, _, _ = nl.train(tr, va, te, nl.Vanilla(), _cfg(max_epochs=10))
@@ -119,7 +119,7 @@ class TestTrain:
 
         monkeypatch.setattr(trainer, "step", checked_step)
         ds = nl.synth_dataset(k=4, n=4000, margin=0.7, seed=1560023975)
-        tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=2025197565))
+        tr, va, te = nl.split(ds, seed=2025197565)
         tr = with_noise(tr, 0.4, seed=1892783322)
         va = with_noise(va, 0.4, seed=1892783323)
         cfg = nl.TrainConfig(
@@ -133,7 +133,7 @@ class TestTrain:
         # model's full learning rate sent every row of M to one vertex, and the
         # final test accuracy fell to 0.265 while the best stayed 1.0.
         ds = nl.synth_dataset(k=4, n=4000, margin=0.7, seed=1826701615)
-        tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=1367864807))
+        tr, va, te = nl.split(ds, seed=1367864807)
         tr = with_noise(tr, 0.4, seed=1097657232)
         va = with_noise(va, 0.4, seed=1097657233)
         cfg = nl.TrainConfig(
@@ -144,7 +144,7 @@ class TestTrain:
 
 
 def _text_splits(ds):
-    tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=31))
+    tr, va, te = nl.split(ds, seed=31)
     return with_noise(tr, 0.3, seed=32), with_noise(va, 0.3, seed=33), te
 
 
@@ -226,7 +226,7 @@ class TestBookkeeping:
 class TestValPolicy:
     def test_policies_agree_when_val_labels_agree(self):
         ds = nl.synth_dataset(k=3, n=300, margin=0.9, seed=24)
-        tr, va, te = nl.split(ds, nl.SplitSpec((0.8, 0.1, 0.1), seed=25))
+        tr, va, te = nl.split(ds, seed=25)
         tr = dataclasses.replace(tr, noisy_labels=tr.clean_labels)
         va = dataclasses.replace(va, noisy_labels=va.clean_labels)
         rec_noisy, _, _ = nl.train(tr, va, te, nl.Vanilla(), _cfg(max_epochs=3))
