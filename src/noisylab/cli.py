@@ -92,7 +92,8 @@ def _from_config(fn, block, where: str, **resolved):
 
 def load_config(path):
     """Read and build a run config: (splits, strategies, TrainConfig, trials,
-    output_dir). The cheap checks run before the dataset is built."""
+    output_dir). The cheap checks, and the noise block's checks and file
+    read, run before the dataset is built."""
     with open(path, encoding="utf-8") as f:
         cfg = yaml.safe_load(f)
     required = ("dataset", "noise", "strategies", "train", "output_dir")
@@ -104,7 +105,8 @@ def load_config(path):
     if not isinstance(cfg["strategies"], list) or not cfg["strategies"]:
         raise ConfigError("strategies must be a non-empty list")
     output_dir = Path(_typed(cfg["output_dir"], str, "output_dir"))
-    splits, true_T, realized_fdr = _apply_noise(_build_dataset(cfg), cfg["noise"])
+    corrupt = _noise_from_config(cfg["noise"])
+    splits, true_T, realized_fdr = _apply_noise(_build_dataset(cfg), corrupt)
     strategies = [_build_strategy(s, true_T, realized_fdr) for s in cfg["strategies"]]
     if len({s.name for s in strategies}) < len(strategies):  # each writes output_dir/<name>
         raise ConfigError(f"strategy names must be unique, got {[s.name for s in strategies]}")
@@ -122,10 +124,11 @@ def _build_dataset(cfg: dict):
     return _from_config(data_mod.split, cfg.get("split", {}), "split", ds=ds)
 
 
-def _corrupt(ds, noise: dict, offset: int = 0):
-    """Draw noisy labels for ``ds`` from a noise block, seeded with its seed
-    plus ``offset``; returns (ds, T). Rule noise may drop examples, and its T
-    is the empirical matrix of the pairs it produced."""
+def _noise_from_config(noise):
+    """Check a noise block and read its file. Returns ``corrupt(ds, offset=0)
+    -> (ds, T)``, which draws noisy labels for ``ds`` seeded with the block's
+    seed plus ``offset``. Rule noise may drop examples, and its T is the
+    empirical matrix of the pairs it produced."""
     if not isinstance(noise, dict):
         raise ConfigError("noise must be a mapping")
     kind = noise.get("type")
@@ -133,26 +136,38 @@ def _corrupt(ds, noise: dict, offset: int = 0):
         raise ConfigError(f"unknown noise type {kind!r}")
     keys = _NOISE_KEYS[kind]
     _check_keys(noise, ("type", "seed", *keys), "noise", keys[:1])
-    seed = _typed(noise.get("seed", 0), int, "noise: seed") + offset
+    seed = _typed(noise.get("seed", 0), int, "noise: seed")
+    if seed < 0:
+        raise ConfigError(f"noise: seed must be non-negative, got {seed}")
     if kind == "rules":
         abstain = _typed(noise.get("abstain_to_clean", True), bool, "noise: abstain_to_clean")
         rules = noise_mod.RuleSet.load_jsonl(_typed(noise["rules"], str, "noise: rules"), abstain)
-        ds = noise_mod.inject_rules(ds, rules)
-        if not ds.examples:
-            raise ConfigError("rule noise matched nothing in a split and abstain_to_clean is false")
-        return ds, noise_mod.matrix_from_pairs(ds.clean_labels, ds.noisy_labels, ds.k)
+
+        def corrupt(ds, offset=0):
+            ds = noise_mod.inject_rules(ds, rules)
+            if not ds.examples:
+                raise ConfigError("rule noise matched nothing in a split and abstain_to_clean is false")
+            return ds, noise_mod.matrix_from_pairs(ds.clean_labels, ds.noisy_labels, ds.k)
+        return corrupt
     if kind == "matrix":
         T = noise_mod.TransitionMatrix.load_csv(_typed(noise["matrix"], str, "noise: matrix"))
+        matrix = lambda k: T
     else:
-        T = _FAMILIES[kind](ds.k, _typed(noise["level"], float, "noise: level"))
-    return dataclasses.replace(ds, noisy_labels=noise_mod.inject(ds.clean_labels, T, seed)), T
+        level = noise_mod.check_level(_typed(noise["level"], float, "noise: level"))
+        matrix = lambda k: _FAMILIES[kind](k, level)
+
+    def corrupt(ds, offset=0):
+        T = matrix(ds.k)
+        noisy = noise_mod.inject(ds.clean_labels, T, seed + offset)
+        return dataclasses.replace(ds, noisy_labels=noisy), T
+    return corrupt
 
 
-def _apply_noise(splits, noise):
+def _apply_noise(splits, corrupt):
     """Corrupt train and val; test stays clean. Returns (splits, true T, eps)."""
     train_ds, val_ds, test_ds = splits
-    train_ds, T = _corrupt(train_ds, noise)
-    val_ds, _ = _corrupt(val_ds, noise, offset=1)
+    train_ds, T = corrupt(train_ds)
+    val_ds, _ = corrupt(val_ds, offset=1)
     eps = noise_mod.fdr(train_ds.clean_labels, train_ds.noisy_labels)
     return (train_ds, val_ds, test_ds), T, eps
 
@@ -188,15 +203,15 @@ def cmd_inject(args) -> int:
     try:  # usage errors, found before any file is read
         if set(given) != {needs}:
             raise ConfigError(f"--type {args.type} takes exactly --{needs}")
-        if args.level is not None:  # the level's range check, made by its matrix family
-            _FAMILIES[args.type](args.k, args.level)
+        if args.level is not None:
+            noise_mod.check_level(args.level)
     except NoisyLabError as e:
         print(f"inject: {e}", file=sys.stderr)
         return EXIT_USAGE
     ds = data_mod.load_jsonl(args.input, args.k)
     if ds.clean_labels is None:
         raise ConfigError("input has no clean_label field")
-    out, T = _corrupt(ds, dict(given, type=args.type, seed=args.seed))
+    out, T = _noise_from_config(dict(given, type=args.type, seed=args.seed))(ds)
     data_mod.write_jsonl(out, args.output)
     realized = noise_mod.fdr(out.clean_labels, out.noisy_labels)
     print(f"fdr: {realized:.4f}")

@@ -26,15 +26,28 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # across runs and platforms.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 
 
-def fnv1a_64(s: str) -> int:
-    h = _FNV_OFFSET
-    for b in s.encode("utf-8"):
-        h ^= b
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
+def fnv1a_64(strings) -> np.ndarray:
+    """The FNV-1a hash of each string's UTF-8 bytes, as a uint64 array.
+
+    One array pass per byte position of the longest string; uint64 arithmetic
+    wraps mod 2^64 as the hash does. The strings are taken longest first, so
+    those with a byte at a position are a prefix of them.
+    """
+    encoded = [s.encode("utf-8") for s in strings]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    live = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    buf = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    h = np.full(len(encoded), _FNV_OFFSET, dtype=np.uint64)
+    for pos, n in enumerate(live.tolist()):
+        h[:n] ^= buf[starts[:n] + pos]
+        h[:n] *= _FNV_PRIME
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
 
 def tokenize(text: str) -> list[str]:
@@ -200,23 +213,31 @@ def split(ds: Dataset, train: float = 0.8, val: float = 0.1, test: float = 0.1,
 def featurize(ds: Dataset, dims: int = 2**18) -> Dataset:
     """``ds`` with ``X`` set to hashed unigram+bigram counts, L2-normalized rows.
 
-    Deterministic for fixed (text, dims); the hash is seedless FNV-1a.
+    Deterministic for fixed (text, dims); the hash is seedless FNV-1a. The
+    corpus's grams are hashed together and counted with one ``np.unique``.
     """
     if dims < 1 or dims & (dims - 1):
         raise ConfigError(f"dims must be a power of two, got {dims}")
-    mask = dims - 1
-    vecs = []
+    n = len(ds)
+    if max(n, 1) * dims >= 2**63:  # each entry's key is row * dims + column, an int64
+        raise ConfigError(f"dims {dims} is too wide for {n} examples")
+    grams, per_row = [], []
     for ex in ds.examples:
         if not ex.text:
             raise ConfigError(f"example {ex.id!r} has empty text")
         toks = tokenize(ex.text)
-        grams = toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
-        vec: dict[int, float] = {}
-        for g in grams:
-            idx = fnv1a_64(g) & mask
-            vec[idx] = vec.get(idx, 0.0) + 1.0
-        vecs.append(vec)
-    return dataclasses.replace(ds, X=_stack_rows(vecs, dims))
+        grams += toks
+        grams += [f"{a} {b}" for a, b in zip(toks, toks[1:])]
+        per_row.append(max(2 * len(toks) - 1, 0))
+    rows = np.repeat(np.arange(n, dtype=np.int64), per_row)
+    cols = (fnv1a_64(grams) & np.uint64(dims - 1)).astype(np.int64)
+    keys, counts = np.unique(rows * dims + cols, return_counts=True)  # row-major, columns ascending
+    rows = keys // dims
+    counts = counts.astype(np.float64)  # small integers: the squared sums are exact
+    norms = np.sqrt(np.bincount(rows, weights=counts * counts, minlength=n))
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
+    X = sp.csr_matrix((counts / norms[rows], keys % dims, indptr), shape=(n, dims))
+    return dataclasses.replace(ds, X=X)
 
 
 def load_text(path: str, k: int, featurize_dims: int = 2**18) -> Dataset:
@@ -283,7 +304,8 @@ def synth_dataset(
 
 
 def _stack_rows(vecs: list[dict[int, float]], dims: int) -> sp.csr_matrix:
-    """L2-normalize sparse vectors and stack them as CSR rows, columns ascending."""
+    """L2-normalize sparse vectors and stack them as CSR rows, columns ascending.
+    Each norm sums its squares in the dict's insertion order."""
     data, indices, indptr = [], [], [0]
     for vec in vecs:
         norm = math.sqrt(sum(w * w for w in vec.values()))

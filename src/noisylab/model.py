@@ -63,18 +63,22 @@ def init_params(
 def _uniform_rows(rng, rows, dims: int, width: int) -> np.ndarray:
     """Rows ``rows`` of ``rng.uniform(size=(dims, width))``, leaving ``rng``
     where that draw would. A double takes one 64-bit output, so each run of
-    consecutive rows is one draw after advancing the generator to its start."""
+    consecutive rows is one draw after advancing the generator past the rows
+    before it. The draws are scaled as ``uniform`` scales them, in place."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or np.any((rows < 0) | (rows >= dims)):
         raise ConfigError(f"rows must be ascending indices in [0,{dims})")
-    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
+    begins = np.diff(rows, prepend=-2) != 1  # the rows that begin a run
+    ends = np.diff(rows, append=dims + 1) != 1  # and those that end one
+    skips = (np.append(rows[begins], dims) - np.append(0, rows[ends] + 1)) * width
+    bounds = np.append(np.flatnonzero(begins), len(rows)).tolist()
     out = np.empty((len(rows), width))
-    at = 0  # the row the generator stands at
-    for s, e in zip(starts, starts[1:] + [len(rows)]):
-        rng.bit_generator.advance((int(rows[s]) - at) * width)
-        out[s:e] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(e - s, width))
-        at = int(rows[e - 1]) + 1
-    rng.bit_generator.advance((dims - at) * width)
+    for s, e, skip in zip(bounds, bounds[1:], skips.tolist()):
+        rng.bit_generator.advance(skip)
+        rng.random(out=out[s:e])
+    rng.bit_generator.advance(int(skips[-1]))  # past the rows after the last run
+    out *= 2 * INIT_SCALE  # uniform's low + (high - low) * u
+    out -= INIT_SCALE
     return out
 
 

@@ -80,12 +80,18 @@ class RuleSet:
         return cls(rules=tuple(rules), abstain_to_clean=abstain_to_clean)
 
 
+def check_level(level: float) -> float:
+    """A noise level, which must be in [0,1)."""
+    if not 0 <= level < 1:
+        raise DomainError(f"level must be in [0,1), got {level}")
+    return level
+
+
 def uniform_matrix(k: int, level: float) -> TransitionMatrix:
     """Keep the label w.p. 1-level, spread level evenly over the k-1 wrong classes."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if not 0 <= level < 1:
-        raise DomainError(f"level must be in [0,1), got {level}")
+    check_level(level)
     rows = np.full((k, k), level / (k - 1))
     np.fill_diagonal(rows, 1.0 - level)
     return TransitionMatrix(k=k, rows=rows)
@@ -95,8 +101,7 @@ def single_flip_matrix(k: int, level: float) -> TransitionMatrix:
     """Send level mass of each class i to the one wrong class (i+1) mod k."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if not 0 <= level < 1:
-        raise DomainError(f"level must be in [0,1), got {level}")
+    check_level(level)
     rows = np.zeros((k, k))
     for i in range(k):
         rows[i, i] = 1.0 - level

@@ -423,8 +423,12 @@ class TestRun:
             (lambda c: _rules_on_text(c, abstain_to_clean=False, rules=_beside(
                 c, "no_match.jsonl", '{"keyword": "absent", "class": 1}\n')), "abstain_to_clean"),
             (lambda c: c["strategies"].append({"name": "vanilla"}), "names must be unique"),
+            (lambda c: c.update(dataset={"path": str(Path(c["output_dir"]).parent / "missing.jsonl"), "k": 3},
+                                noise={"type": "uniform", "levle": 0.4}),
+             "unknown keys in noise: ['levle']"),
         ],
-        ids=["noise_missing", "rules_empty_split", "duplicate_strategy"],
+        ids=["noise_missing", "rules_empty_split", "duplicate_strategy",
+             "noise_checked_before_dataset"],
     )
     def test_config_error_names_its_cause(self, tmp_path, capsys, edit, expected):
         cfg = _small_config(tmp_path, trials=1)
@@ -433,6 +437,20 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and expected in err[0], err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["rules", "matrix"])
+    def test_noise_file_is_read_once(self, tmp_path, monkeypatch, kind):
+        cfg = _small_config(tmp_path, trials=1)
+        if kind == "rules":
+            _rules_on_text(cfg)
+            cls, name = nl.RuleSet, "load_jsonl"
+        else:
+            _matrix_noise(cfg, "0.8,0.1,0.1\n0.1,0.8,0.1\n0.1,0.1,0.8\n")
+            cls, name = nl.TransitionMatrix, "load_csv"
+        read, calls = getattr(cls, name), []
+        monkeypatch.setattr(cls, name, lambda *args: calls.append(args) or read(*args))
+        assert main(["run", str(_write_config(tmp_path, cfg))]) == 0
+        assert len(calls) == 1
 
     def test_nmat_matrix_size_mismatch_fails_run(self, tmp_path, capsys):
         T3 = tmp_path / "T3.csv"

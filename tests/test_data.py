@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noisylab as nl
@@ -24,6 +24,43 @@ def _row(X, r=0):
     """Row r of a CSR matrix as {column: value}."""
     row = X[r]
     return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
+def _fnv1a_64_scalar(s):
+    """The byte-at-a-time FNV-1a-64 reference."""
+    h = 0xCBF29CE484222325
+    for b in s.encode("utf-8"):
+        h = ((h ^ b) * 0x100000001B3) & (2**64 - 1)
+    return h
+
+
+def _featurize_reference(ds, dims):
+    """Hashed unigram+bigram counts, one dict per example and one hash per gram,
+    L2-normalized and stacked as CSR rows with columns ascending."""
+    data, indices, indptr = [], [], [0]
+    for ex in ds.examples:
+        toks = tokenize(ex.text)
+        vec = {}
+        for g in toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]:
+            idx = _fnv1a_64_scalar(g) & (dims - 1)
+            vec[idx] = vec.get(idx, 0.0) + 1.0
+        norm = math.sqrt(sum(w * w for w in vec.values()))
+        for i in sorted(vec):
+            indices.append(i)
+            data.append(vec[i] / norm)
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
+        shape=(len(ds), dims),
+    )
+
+
+def _corpus(texts):
+    return nl.Dataset(
+        examples=tuple(nl.Example(id=str(i), text=t) for i, t in enumerate(texts)),
+        k=2,
+        clean_labels=np.zeros(len(texts), dtype=np.int64),
+    )
 
 
 def _same_csr(a, b):
@@ -154,7 +191,43 @@ class TestSplit:
                 assert p.clean_labels[i] == ds.clean_labels[orig]
 
 
+class TestFnv1a64:
+    def test_published_vectors(self):
+        assert fnv1a_64(["", "a", "foobar"]).tolist() == [
+            0xCBF29CE484222325, 0xAF63DC4C8601EC8C, 0x85944171F73967E8
+        ]
+
+    @given(strings=st.lists(st.text(max_size=40)))
+    @example(strings=[])
+    @example(strings=["x" * 300, "", "é", "a b", "a b"])
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_scalar_hash(self, strings):
+        out = fnv1a_64(strings)
+        assert out.dtype == np.uint64
+        assert out.tolist() == [_fnv1a_64_scalar(s) for s in strings]
+
+
+# texts with no token, repeated grams, non-ASCII letters and a long token
+_TEXTS = st.one_of(
+    st.text(alphabet="ab c\u00e9\u00df!", min_size=1, max_size=16),
+    st.sampled_from(["!!!", "a a a b a b", "caf\u00e9 stra\u00dfe", "w" * 300]),
+)
+
+
 class TestFeaturize:
+    @given(texts=st.lists(_TEXTS, min_size=1, max_size=8), dims=st.sampled_from([2, 64, 2**18]))
+    @example(texts=["!!!"], dims=64)
+    @example(texts=["a"], dims=2)
+    @example(texts=["a b a b", "!!!", "x" * 300 + " y"], dims=2**18)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_per_gram_reference(self, texts, dims):
+        got = nl.featurize(_corpus(texts), dims).X
+        ref = _featurize_reference(_corpus(texts), dims)
+        assert got.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
     def test_deterministic(self):
         ds = nl.Dataset(
             examples=(nl.Example(id="a", text="Hello noisy world"),),
@@ -179,8 +252,8 @@ class TestFeaturize:
         dims = 2**16
         grams_ab = ["a", "b", "a b"]
         grams_ba = ["b", "a", "b a"]
-        idx_ab = {fnv1a_64(g) & (dims - 1) for g in grams_ab}
-        idx_ba = {fnv1a_64(g) & (dims - 1) for g in grams_ba}
+        idx_ab = set((fnv1a_64(grams_ab) & np.uint64(dims - 1)).tolist())
+        idx_ba = set((fnv1a_64(grams_ba) & np.uint64(dims - 1)).tolist())
         assert idx_ab != idx_ba
         ds = nl.Dataset(
             examples=(nl.Example(id="x", text="a b"), nl.Example(id="y", text="b a")),
@@ -199,6 +272,10 @@ class TestFeaturize:
         )
         with pytest.raises(ConfigError):
             nl.featurize(ds, 1000)
+
+    def test_dims_too_wide_for_a_row_major_key(self):
+        with pytest.raises(ConfigError, match="too wide"):
+            nl.featurize(_corpus(["a b", "c"]), 2**62)
 
     @given(text=st.text(alphabet="abc xyz", min_size=1, max_size=30))
     @settings(max_examples=30, deadline=None)

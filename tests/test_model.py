@@ -315,6 +315,8 @@ class TestInit:
     @example(arch="linear", seed=3, dims_rows=(10, [2, 3, 4, 7, 8]))
     @example(arch="mlp", seed=4, dims_rows=(10, [5]))
     @example(arch="linear", seed=5, dims_rows=(10, list(range(10))))
+    @example(arch="mlp", seed=6, dims_rows=(10, []))
+    @example(arch="linear", seed=7, dims_rows=(2**18, [0, 2**18 - 1]))
     @settings(max_examples=100, deadline=None)
     def test_rows_are_those_rows_of_the_full_draw(self, arch, seed, dims_rows):
         dims, rows = dims_rows
