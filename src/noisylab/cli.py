@@ -62,7 +62,9 @@ def _typed(value, tp, what: str):
     or infinite number, and a float field rejects NaN and infinity."""
     try:
         out = tp(value)
-        if (tp is bool) != isinstance(value, bool) or (tp is int and out != float(value)):
+        if (tp is bool) != isinstance(value, bool):
+            raise ValueError
+        if tp is int and isinstance(value, float) and out != value:  # compared exactly, not as floats
             raise ValueError
         if tp is str and not isinstance(value, str):
             raise ValueError
@@ -431,8 +433,8 @@ def main(argv=None) -> int:
         return e.code
     try:
         return args.func(args)
-    except (NoisyLabError, OSError) as e:
-        print(f"{args.command}: {e}", file=sys.stderr)
+    except (NoisyLabError, OSError, MemoryError) as e:
+        print(f"{args.command}: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_DEGENERATE if isinstance(e, DegenerateClassError) else EXIT_FAILURE
 
 

@@ -271,7 +271,10 @@ def synth_dataset(
     example additionally activates a few random indices with weights scaled by
     (1 - margin). At margin=1 examples equal their prototypes and the data is
     linearly separable. Vectors are L2-normalized; clean labels are balanced.
+    Only the per-example draws loop over examples; the rows are built as arrays.
     """
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
     if not 0 < margin <= 1:
         raise DomainError(f"margin must be in (0,1], got {margin}")
     if n < k:
@@ -280,42 +283,39 @@ def synth_dataset(
         raise DomainError(f"seed must be non-negative, got {seed}")
     if dims < 2 * k * proto_size:
         raise ConfigError("dims too small for the requested prototypes")
+    if 8 * max(n, dims, n * (proto_size + noise_size)) > np.iinfo(np.intp).max:
+        raise ConfigError(f"n={n} with dims={dims} needs an array too large to allocate")
     rng = np.random.default_rng(seed)
-    proto_pool = rng.permutation(dims)[: k * proto_size]
-    protos = [proto_pool[c * proto_size : (c + 1) * proto_size] for c in range(k)]
+    protos = rng.permutation(dims)[: k * proto_size].reshape(k, proto_size)
     labels = rng.permuted(np.arange(n) % k)
-    scale = 1.0 - margin
-    vecs = []
-    for i in range(n):
-        y = labels[i]
-        vec = {int(j): 1.0 for j in protos[y]}
-        extra_idx = rng.choice(dims, size=noise_size, replace=False)
-        extra_w = rng.random(noise_size) * scale
-        for j, w in zip(extra_idx, extra_w):
-            if w > 0:
-                vec[int(j)] = vec.get(int(j), 0.0) + float(w)
-        vecs.append(vec)
+    extra_idx = np.empty((n, noise_size), dtype=np.int64)
+    extra_w = np.empty((n, noise_size))
+    for i in range(n):  # a choice without replacement takes a varying number of raw draws
+        extra_idx[i] = rng.choice(dims, size=noise_size, replace=False)
+        extra_w[i] = rng.random(noise_size)
+    extra_w *= 1.0 - margin
+    # Each row in insertion order: its prototype columns with weight 1, then its
+    # extras. An extra on a prototype column adds to it and leaves 0 in its slot.
+    protos = protos[labels]
+    cols = np.concatenate([protos, extra_idx], axis=1)
+    W = np.concatenate([np.ones(protos.shape), extra_w], axis=1)
+    rows, hit, at = np.nonzero(extra_idx[:, :, None] == protos[:, None, :])
+    W[rows, at] += extra_w[rows, hit]
+    W[rows, proto_size + hit] = 0.0
+    sq = np.zeros(n)
+    for col in W.T:  # left to right, as a Python sum of the squares; a 0 adds nothing
+        sq += col * col
+    order = np.argsort(cols, axis=1)
+    cols, W = np.take_along_axis(cols, order, 1), np.take_along_axis(W, order, 1)
+    keep = W > 0
+    counts = keep.sum(axis=1)
+    data = W[keep] / np.repeat(np.sqrt(sq), counts)
+    X = sp.csr_matrix((data, cols[keep], np.append(0, np.cumsum(counts))), shape=(n, dims))
     return Dataset(
         examples=tuple(Example(id=f"synth-{i}", text="") for i in range(n)),
         k=k,
         clean_labels=labels.astype(np.int64),
-        X=_stack_rows(vecs, dims),
-    )
-
-
-def _stack_rows(vecs: list[dict[int, float]], dims: int) -> sp.csr_matrix:
-    """L2-normalize sparse vectors and stack them as CSR rows, columns ascending.
-    Each norm sums its squares in the dict's insertion order."""
-    data, indices, indptr = [], [], [0]
-    for vec in vecs:
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        for i in sorted(vec):
-            indices.append(i)
-            data.append(vec[i] / norm)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
-        shape=(len(vecs), dims),
+        X=X,
     )
 
 

@@ -93,12 +93,18 @@ _BAD_LINES = {
     "line_number": "5",
 }
 
+# Sizes of a synthetic dataset that no array can hold.
+_OVERSIZED = {"dims_2^63": {"dims": 2**63}, "dims_1e308": {"dims": 1e308}, "n_2^63": {"n": 2**63},
+              "n_2^62": {"n": 2**62}, "dims_2^62": {"dims": 2**62}}
+
 
 # Cases of test_config_exit_code_without_traceback whose message must name its key.
 _NAMED_IN_MESSAGE = {
     "level_1.5": "run: level must be in [0,1), got 1.5",
     "synth_noise_size": "unknown keys in dataset.synth: ['noise_size']",
     "rule_keyword_two_tokens": "rule keyword 'New York'",
+    "synth_k_0": "run: k must be >= 2, got 0",
+    "synth_n_2^63-1": "run: n=9223372036854775807 with dims=256 needs an array too large",
 }
 
 
@@ -374,6 +380,10 @@ class TestRun:
             (lambda c: c["dataset"]["synth"].update(proto_size=8), 2),
             (lambda c: _rules_on_text(c, rules=_beside(
                 c, "two_tokens.jsonl", '{"keyword": "New York", "class": 1}\n')), 2),
+            *[(lambda c, k=k: c["dataset"]["synth"].update(k=k), 2) for k in (0, -1)],
+            *[(lambda c, kv=kv: c["dataset"]["synth"].update(kv), 2) for kv in _OVERSIZED.values()],
+            (lambda c: c["dataset"]["synth"].update(n=2**63 - 1), 2),
+            (lambda c: c["train"].update(arch="mlp", hidden=2**40), 1),  # 2 PiB: fails at once
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
@@ -390,7 +400,8 @@ class TestRun:
              "synth_with_k", "synth_with_featurize_dims", "uniform_with_rules",
              "uniform_with_matrix", "uniform_with_abstain", "duplicate_strategy",
              "noise_type_list", "strategy_name_list", "synth_noise_size", "synth_proto_size",
-             "rule_keyword_two_tokens"],
+             "rule_keyword_two_tokens", "synth_k_0", "synth_k_-1",
+             *[f"synth_{name}" for name in _OVERSIZED], "synth_n_2^63-1", "hidden_2^40"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, request, edit, code):
         cfg = _small_config(tmp_path, trials=1)

@@ -55,6 +55,46 @@ def _featurize_reference(ds, dims):
     )
 
 
+def _synth_reference(k, n, margin, seed, dims=1024, *, proto_size=16, noise_size=16):
+    """The synthetic generator with one dict per example, normalized and stacked
+    as CSR rows with columns ascending. Each norm sums its squares left to right
+    in the dict's insertion order (from Python 3.12 on, ``sum`` of floats is
+    compensated, so it is spelled out)."""
+    rng = np.random.default_rng(seed)
+    proto_pool = rng.permutation(dims)[: k * proto_size]
+    protos = [proto_pool[c * proto_size : (c + 1) * proto_size] for c in range(k)]
+    labels = rng.permuted(np.arange(n) % k)
+    scale = 1.0 - margin
+    data, indices, indptr = [], [], [0]
+    for i in range(n):
+        vec = {int(j): 1.0 for j in protos[labels[i]]}
+        extra_idx = rng.choice(dims, size=noise_size, replace=False)
+        extra_w = rng.random(noise_size) * scale
+        for j, w in zip(extra_idx, extra_w):
+            if w > 0:
+                vec[int(j)] = vec.get(int(j), 0.0) + float(w)
+        sq = 0.0
+        for w in vec.values():
+            sq += w * w
+        norm = math.sqrt(sq)
+        for j in sorted(vec):
+            indices.append(j)
+            data.append(vec[j] / norm)
+        indptr.append(len(indices))
+    X = sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)), shape=(n, dims)
+    )
+    return labels.astype(np.int64), X
+
+
+def _assert_same_bytes(got, ref):
+    """The two CSR matrices have one shape, and each of their arrays one dtype and bytes."""
+    assert got.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
 def _corpus(texts):
     return nl.Dataset(
         examples=tuple(nl.Example(id=str(i), text=t) for i, t in enumerate(texts)),
@@ -222,11 +262,7 @@ class TestFeaturize:
     @settings(max_examples=100, deadline=None)
     def test_equals_the_per_gram_reference(self, texts, dims):
         got = nl.featurize(_corpus(texts), dims).X
-        ref = _featurize_reference(_corpus(texts), dims)
-        assert got.shape == ref.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        _assert_same_bytes(got, _featurize_reference(_corpus(texts), dims))
 
     def test_deterministic(self):
         ds = nl.Dataset(
@@ -335,7 +371,34 @@ class TestCompactColumns:
         assert _same_csr(back, full.X)  # each row keeps its entries, in order
 
 
+@st.composite
+def _synth_args(draw):
+    """synth_dataset arguments with small dims, so extras often hit prototypes."""
+    k = draw(st.integers(2, 5))
+    proto_size = draw(st.integers(0, 6))
+    noise_size = draw(st.integers(0, 40))
+    return dict(
+        k=k,
+        n=draw(st.integers(k, 60)),
+        margin=draw(st.one_of(st.just(1.0), st.floats(0, 1, exclude_min=True))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        dims=draw(st.integers(max(2 * k * proto_size, noise_size, 1), 96)),
+        proto_size=proto_size,
+        noise_size=noise_size,
+    )
+
+
 class TestSynthDataset:
+    @given(args=_synth_args())
+    @example(args=dict(k=4, n=4000, margin=0.7, seed=0))  # the README shape
+    @example(args=dict(k=4, n=4000, margin=0.5, seed=11, noise_size=32))  # the acceptance fixture
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_dict_reference(self, args):
+        ds = nl.synth_dataset(**args)
+        labels, X = _synth_reference(**args)
+        assert (ds.clean_labels.dtype, ds.clean_labels.tobytes()) == (labels.dtype, labels.tobytes())
+        _assert_same_bytes(ds.X, X)
+
     def test_separable_at_margin_one(self):
         ds = nl.synth_dataset(k=2, n=100, margin=1.0, seed=3)
         tr = dataclasses.replace(ds, noisy_labels=ds.clean_labels)
