@@ -109,6 +109,10 @@ def load_config(path):
     output_dir = Path(_typed(cfg["output_dir"], str, "output_dir"))
     corrupt = _noise_from_config(cfg["noise"])
     splits, true_T, realized_fdr = _apply_noise(_build_dataset(cfg), corrupt)
+    dims, hidden = splits[0].dims, train_cfg.hidden
+    # An MLP's w1 is (dims, hidden) and its w2 (hidden, k).
+    if train_cfg.arch == "mlp" and 8 * max(dims, splits[0].k) * hidden > np.iinfo(np.intp).max:
+        raise ConfigError(f"train: hidden={hidden} with dims={dims} needs an array too large to allocate")
     strategies = [_build_strategy(s, true_T, realized_fdr) for s in cfg["strategies"]]
     if len({s.name for s in strategies}) < len(strategies):  # each writes output_dir/<name>
         raise ConfigError(f"strategy names must be unique, got {[s.name for s in strategies]}")

@@ -26,25 +26,34 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # across runs and platforms.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FNV_TAIL = 32  # live strings below which a byte loop beats an array pass
 
 
 def fnv1a_64(strings) -> np.ndarray:
     """The FNV-1a hash of each string's UTF-8 bytes, as a uint64 array.
 
-    One array pass per byte position of the longest string; uint64 arithmetic
-    wraps mod 2^64 as the hash does. The strings are taken longest first, so
-    those with a byte at a position are a prefix of them.
+    One array pass per byte position while more than ``_FNV_TAIL`` strings
+    still have a byte there; uint64 arithmetic wraps mod 2^64 as the hash
+    does. The few longer strings are then finished one byte at a time, so the
+    cost is bounded by the total bytes. The strings are taken longest first,
+    so those with a byte at a position are a prefix of them.
     """
     encoded = [s.encode("utf-8") for s in strings]
     lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
     order = np.argsort(-lengths, kind="stable")
     starts = (np.cumsum(lengths) - lengths)[order]
-    live = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    live = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0) + 1))
+    cut = int(np.count_nonzero(live > _FNV_TAIL))  # live ends in 0, so live[cut] exists
     buf = np.frombuffer(b"".join(encoded), dtype=np.uint8)
     h = np.full(len(encoded), _FNV_OFFSET, dtype=np.uint64)
-    for pos, n in enumerate(live.tolist()):
+    for pos, n in enumerate(live[:cut].tolist()):
         h[:n] ^= buf[starts[:n] + pos]
         h[:n] *= _FNV_PRIME
+    for i in range(live[cut]):
+        value = int(h[i])
+        for byte in encoded[order[i]][cut:]:
+            value = (value ^ byte) * _FNV_PRIME % 2**64
+        h[i] = value
     out = np.empty_like(h)
     out[order] = h
     return out

@@ -89,19 +89,22 @@ def softmax(Z: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
-def _forward_batch(p: Params, X: sp.csr_matrix):
-    """Returns (probs, hidden activations or None)."""
-    if X.shape[1] != p.w1.shape[0]:
-        raise ShapeError(f"input dims {X.shape[1]} != model dims {p.w1.shape[0]}")
-    if p.w2 is None:
-        Z = X @ p.w1 + p.b1
-        H = None
-    else:
-        H = np.tanh(X @ p.w1 + p.b1)
-        Z = H @ p.w2 + p.b2
-    if not np.all(np.isfinite(Z)):
+def _forward_batch(p: Params, X: sp.csr_matrix, A=None):
+    """Returns (probs, A), where A is the first layer's output: a linear
+    model's logits or an MLP's hidden activations. Each row of A depends only
+    on that row of X, so a caller that ran the batch may pass rows of its A
+    for those rows of X; only the layers after it run again. Rows of an MLP's
+    output layer are not: BLAS may round a row differently in another batch."""
+    if A is None:
+        if X.shape[1] != p.w1.shape[0]:
+            raise ShapeError(f"input dims {X.shape[1]} != model dims {p.w1.shape[0]}")
+        A = X @ p.w1 + p.b1
+        if p.w2 is not None:
+            A = np.tanh(A)
+    Z = A if p.w2 is None else A @ p.w2 + p.b2
+    if not np.isfinite(Z).all():
         raise NumericError("non-finite activation in forward pass")
-    return softmax(Z), H
+    return softmax(Z), A
 
 
 def predict_probs(p: Params, ds: Dataset) -> np.ndarray:
@@ -139,29 +142,39 @@ class SmoothedCrossEntropy:
         return losses, probs - T
 
 
-def step(p: Params, X: sp.csr_matrix, labels: np.ndarray, lr: float, loss_fn) -> float:
+def step(p: Params, X: sp.csr_matrix, labels: np.ndarray, lr: float, loss_fn, forward=None) -> float:
     """One SGD step on the mean batch loss. Updates ``p``'s arrays in place,
     touching only the ``w1`` rows of the batch's feature columns, and returns
-    the mean loss. On ``NumericError`` ``p`` is left unchanged."""
-    n = X.shape[0]
-    probs, H = _forward_batch(p, X)
+    the mean loss. ``forward`` is the first layer's output on ``X`` under
+    ``p`` (``_forward_batch``'s A) when the caller already has it. On
+    ``NumericError`` ``p`` is left unchanged."""
+    n, dims = X.shape
+    probs, H = _forward_batch(p, X, forward)
     losses, dlogits = loss_fn.per_sample(probs, labels)
     dZ = dlogits / n
     # The batch's transpose over its own columns only: the same entries in the
     # same order as X.T, so each touched row's gradient sums bitwise as X.T's.
-    cols, inv = np.unique(X.indices, return_inverse=True)
-    XcT = sp.csc_matrix((X.data, inv, X.indptr), shape=(len(cols), n))
+    # The columns come ascending from a marker over the model's rows.
+    seen = np.zeros(dims, dtype=bool)
+    seen[X.indices] = True
+    cols = np.flatnonzero(seen)
+    position = np.empty(dims, dtype=np.intp)
+    position[cols] = np.arange(len(cols))
+    XcT = sp.csc_array((X.data, position[X.indices], X.indptr), shape=(len(cols), n))
     if p.w2 is None:
         grads = {"w1": XcT @ dZ, "b1": dZ.sum(axis=0)}
     else:
         dZ1 = (dZ @ p.w2.T) * (1.0 - H * H)
         grads = {"w1": XcT @ dZ1, "b1": dZ1.sum(axis=0), "w2": H.T @ dZ, "b2": dZ.sum(axis=0)}
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in parameter block {name}")
-    p.w1[cols] -= lr * grads.pop("w1")
+        g *= lr
+    rows = p.w1.take(cols, axis=0)  # the touched rows: gathered, updated, scattered back
+    rows -= grads.pop("w1")
+    p.w1[cols] = rows
     for name, g in grads.items():
-        getattr(p, name)[...] -= lr * g
+        getattr(p, name)[...] -= g
     if hasattr(loss_fn, "sgd_update"):
         loss_fn.sgd_update(lr)
     return float(np.mean(losses))

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import Dataset, feature_matrix
 from .errors import ConfigError, ShapeError
@@ -93,6 +94,13 @@ class RunRecord:
         }
 
 
+def _row_slice(X: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
+    """Rows ``start:stop`` of a CSR matrix, as views of its data and indices."""
+    indptr = X.indptr[start : stop + 1]
+    a, b = indptr[0], indptr[-1]
+    return sp.csr_matrix((X.data[a:b], X.indices[a:b], indptr - a), shape=(len(indptr) - 1, X.shape[1]))
+
+
 def train(
     train_ds: Dataset,
     val_ds: Dataset,
@@ -165,16 +173,17 @@ def train(
         if coteach:
             frac = keep_fraction(epoch, strategy.eps, strategy.ramp_epochs)
         for start in range(0, n, cfg.batch_size):
-            X = Xe[start : start + cfg.batch_size]
+            X = _row_slice(Xe, start, start + cfg.batch_size)
             y = ye[start : start + cfg.batch_size]
             if coteach:
-                probs_a, _ = _forward_batch(params, X)
-                probs_b, _ = _forward_batch(params_b, X)
+                probs_a, A_a = _forward_batch(params, X)
+                probs_b, A_b = _forward_batch(params_b, X)
                 la, _ = loss_fn.per_sample(probs_a, y)
                 lb, _ = loss_fn.per_sample(probs_b, y)
                 sel_a, sel_b = coteach_select(la, lb, frac)
-                step(params, X[sel_a], y[sel_a], cfg.lr, loss_fn)
-                step(params_b, X[sel_b], y[sel_b], cfg.lr, loss_fn)
+                # Each network steps on its kept rows of the first layer it just ran.
+                step(params, X[sel_a], y[sel_a], cfg.lr, loss_fn, forward=A_a[sel_a])
+                step(params_b, X[sel_b], y[sel_b], cfg.lr, loss_fn, forward=A_b[sel_b])
                 losses.append(float(np.mean(la)))
             else:
                 losses.append(step(params, X, y, cfg.lr, loss_fn))

@@ -105,6 +105,7 @@ _NAMED_IN_MESSAGE = {
     "rule_keyword_two_tokens": "rule keyword 'New York'",
     "synth_k_0": "run: k must be >= 2, got 0",
     "synth_n_2^63-1": "run: n=9223372036854775807 with dims=256 needs an array too large",
+    "hidden_2^56": "run: train: hidden=72057594037927936 with dims=256 needs an array too large",
 }
 
 
@@ -384,6 +385,7 @@ class TestRun:
             *[(lambda c, kv=kv: c["dataset"]["synth"].update(kv), 2) for kv in _OVERSIZED.values()],
             (lambda c: c["dataset"]["synth"].update(n=2**63 - 1), 2),
             (lambda c: c["train"].update(arch="mlp", hidden=2**40), 1),  # 2 PiB: fails at once
+            *[(lambda c, h=h: c["train"].update(arch="mlp", hidden=h), 2) for h in (2**56, 2**63, 1e308)],
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
@@ -401,7 +403,8 @@ class TestRun:
              "uniform_with_matrix", "uniform_with_abstain", "duplicate_strategy",
              "noise_type_list", "strategy_name_list", "synth_noise_size", "synth_proto_size",
              "rule_keyword_two_tokens", "synth_k_0", "synth_k_-1",
-             *[f"synth_{name}" for name in _OVERSIZED], "synth_n_2^63-1", "hidden_2^40"],
+             *[f"synth_{name}" for name in _OVERSIZED], "synth_n_2^63-1", "hidden_2^40",
+             "hidden_2^56", "hidden_2^63", "hidden_1e308"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, request, edit, code):
         cfg = _small_config(tmp_path, trials=1)

@@ -246,6 +246,12 @@ class TestFnv1a64:
         assert out.dtype == np.uint64
         assert out.tolist() == [_fnv1a_64_scalar(s) for s in strings]
 
+    def test_long_strings_past_the_array_passes(self):
+        # More strings than the array passes stop at, some far longer than the rest.
+        rng = np.random.default_rng(0)
+        strings = ["é" * int(m) for m in rng.integers(0, 60, 200)] + ["ab" * 5000, "z" * 70, "y" * 61]
+        assert fnv1a_64(strings).tolist() == [_fnv1a_64_scalar(s) for s in strings]
+
 
 # texts with no token, repeated grams, non-ASCII letters and a long token
 _TEXTS = st.one_of(

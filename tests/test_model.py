@@ -209,12 +209,15 @@ class TestGradStep:
 @st.composite
 def _sparse_batches(draw):
     """A small CSR batch with labels and a nonempty sorted row subset. Rows may
-    be empty, share a column or repeat one; some columns may go unused."""
+    be empty, share a column or repeat one; some columns may go unused, or
+    one row may use every column."""
     n = draw(st.integers(1, 6))
     dims = draw(st.integers(1, 10))
     k = draw(st.integers(2, 4))
     entry = st.tuples(st.integers(0, dims - 1), st.floats(-2.0, 2.0))
     rows = [draw(st.lists(entry, max_size=5)) for _ in range(n)]
+    if draw(st.booleans()):  # one row uses every column
+        rows[draw(st.integers(0, n - 1))] += [(c, draw(st.floats(-2.0, 2.0))) for c in range(dims)]
     flat = [e for row in rows for e in row]
     X = sp.csr_matrix(
         (
@@ -256,6 +259,72 @@ def test_step_equals_dense_reference_bitwise(arch, loss, batch, seed, lr):
             assert a.tobytes() == b.tobytes(), name
         if loss == "nmwr":
             assert loss_fn.M.tobytes() == ref_loss_fn.M.tobytes()
+
+
+def _step_reference(p, X, labels, lr, loss_fn):
+    """``step`` with the column set from ``np.unique`` and a forward pass of
+    its own, updating ``p`` in place."""
+    n = X.shape[0]
+    probs, H = _forward_batch(p, X)
+    losses, dlogits = loss_fn.per_sample(probs, labels)
+    dZ = dlogits / n
+    cols, inv = np.unique(X.indices, return_inverse=True)
+    XcT = sp.csc_matrix((X.data, inv, X.indptr), shape=(len(cols), n))
+    if p.w2 is None:
+        grads = {"w1": XcT @ dZ, "b1": dZ.sum(axis=0)}
+    else:
+        dZ1 = (dZ @ p.w2.T) * (1.0 - H * H)
+        grads = {"w1": XcT @ dZ1, "b1": dZ1.sum(axis=0), "w2": H.T @ dZ, "b2": dZ.sum(axis=0)}
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient in parameter block {name}")
+    p.w1[cols] -= lr * grads.pop("w1")
+    for name, g in grads.items():
+        getattr(p, name)[...] -= lr * g
+    if hasattr(loss_fn, "sgd_update"):
+        loss_fn.sgd_update(lr)
+    return float(np.mean(losses))
+
+
+@pytest.mark.parametrize("loss", sorted(_LOSSES))
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+@given(batch=_sparse_batches(), seed=st.integers(0, 2**16), lr=st.floats(0.01, 0.5),
+       reuse=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_step_equals_reference_bitwise(arch, loss, batch, seed, lr, reuse):
+    """``step`` gives ``_step_reference``'s bits on a full batch, then on a row
+    subset of it; with ``reuse`` it is handed those rows of the first layer's
+    output on the whole batch, as co-teaching does."""
+    X, labels, sel, k = batch
+    p = nl.init_params(X.shape[1], k, seed, arch=arch, hidden=3)
+    ref = p.copy()
+    loss_fn, ref_loss_fn = _LOSSES[loss](k), _LOSSES[loss](k)
+    for rows in (np.arange(X.shape[0]), sel):
+        forward = _forward_batch(p, X)[1][rows] if reuse else None
+        mean = step(p, X[rows], labels[rows], lr, loss_fn, forward=forward)
+        assert mean == _step_reference(ref, X[rows], labels[rows], lr, ref_loss_fn)
+        for (name, a), (_, b) in zip(_flatten(p), _flatten(ref)):
+            assert a.tobytes() == b.tobytes(), name
+        if loss == "nmwr":
+            assert loss_fn.M.tobytes() == ref_loss_fn.M.tobytes()
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+@given(data=st.data(), n=st.integers(1, 40), dims=st.integers(1, 300), k=st.integers(2, 5),
+       hidden=st.sampled_from([1, 3, 64]), seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_first_layer_rows_equal_first_layer_of_rows(arch, data, n, dims, k, hidden, seed):
+    """Rows ``sel`` of the first layer's output on a batch are bitwise its
+    output on rows ``sel``, and the layers after it give the same bits from
+    either: what lets co-teaching step on rows of its selection pass."""
+    rng = np.random.default_rng(seed)
+    X = sp.random(n, dims, density=rng.random(), format="csr", random_state=rng)
+    sel = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    p = nl.init_params(dims, k, seed, arch=arch, hidden=hidden)
+    _, A = _forward_batch(p, X)
+    probs, A_sel = _forward_batch(p, X[sel])
+    assert A[sel].tobytes() == A_sel.tobytes()
+    assert _forward_batch(p, X[sel], A[sel])[0].tobytes() == probs.tobytes()
 
 
 class TestEvaluate:

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noisylab as nl
 from noisylab import trainer
@@ -98,6 +101,20 @@ class TestTrain:
         at_best = next(iter(after.values()))[rec.best_step - 1]  # net A steps first
         for name in ("w1", "b1", "w2", "b2"):
             assert getattr(best, name).tobytes() == getattr(at_best, name).tobytes(), name
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_coteaching_steps_on_its_selection_forward_bitwise(self, small_noisy_splits, monkeypatch, arch):
+        tr, va, te = small_noisy_splits
+        strat, cfg = nl.CoTeaching(eps=0.4, ramp_epochs=2), _cfg(max_epochs=3, arch=arch, hidden=16)
+        reused = nl.train(tr, va, te, strat, cfg)
+        real_step = trainer.step
+        monkeypatch.setattr(trainer, "step", lambda p, X, y, lr, loss_fn, forward=None: real_step(p, X, y, lr, loss_fn))
+        rerun = nl.train(tr, va, te, strat, cfg)
+        assert reused[0].entries == rerun[0].entries and reused[0].best_step == rerun[0].best_step
+        for a, b in zip(reused[1:], rerun[1:]):  # best, then final
+            assert a.arrays().keys() == b.arrays().keys()
+            for name, arr in a.arrays().items():
+                assert arr.tobytes() == b.arrays()[name].tobytes(), name
 
     def test_nmwr_runs(self, small_noisy_splits):
         tr, va, te = small_noisy_splits
@@ -253,3 +270,16 @@ class TestRunRecordIO:
         assert len(lines) == len(rec.entries)
         assert lines[0]["step"] == rec.entries[0].step
         assert set(lines[0]) == {"step", "train_loss", "val_acc", "test_acc"}
+
+
+@given(n=st.integers(1, 40), bounds=st.tuples(st.integers(0, 45), st.integers(0, 45)), seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_batch_view_is_the_row_slice(n, bounds, seed):
+    """A batch holds ``X[start:stop]``'s entries, in their order."""
+    rng = np.random.default_rng(seed)
+    X = sp.random(n, 50, density=rng.random(), format="csr", random_state=rng)
+    start, stop = min(min(bounds), n - 1), max(bounds)
+    got, want = trainer._row_slice(X, start, stop), X[start:stop]
+    assert got.shape == want.shape
+    for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+        assert a.tolist() == b.tolist()
