@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import inspect
 import json
@@ -272,15 +271,15 @@ def run_sweep(splits, strategies, base_cfg, trials: int, out_root: Path) -> int:
 def cmd_run(args) -> int:
     try:
         sweep = load_config(args.config)
-    except (NoisyLabError, OSError, yaml.YAMLError) as e:
+    except (NoisyLabError, OSError, yaml.YAMLError, RecursionError) as e:  # or a document nested too deeply
         print(f"run: {e}", file=sys.stderr)
         return EXIT_USAGE
     return run_sweep(*sweep)
 
 
 # The summary.json fields report and diagnose read, with the JSON types each
-# may take: a bool is not a number, and auc is missing or null when the ROC
-# was degenerate.
+# may take: a bool is not a number, a number must be finite as a float, and
+# auc is missing or null when the ROC was degenerate.
 _NUMBER = (int, float)
 _SUMMARY_FIELDS = {
     "strategy": (str,),
@@ -294,10 +293,12 @@ _DIAGNOSE_FIELDS = {**_SUMMARY_FIELDS, "best_val_acc": _NUMBER}
 def _read_summary(path: Path, fields: dict = _SUMMARY_FIELDS) -> dict:
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:  # a truncated or garbled summary
+    except (ValueError, RecursionError) as e:  # a truncated, garbled or too deeply nested summary
         raise ParseError(f"{path}: {e}") from None
     if not isinstance(summary, dict) or not all(
-        type(summary.get(key)) in types for key, types in fields.items()
+        type(value := summary.get(key)) in types
+        and (type(value) not in _NUMBER or abs(value) <= sys.float_info.max)  # NaN fails too
+        for key, types in fields.items()
     ):
         raise ParseError(f"{path}: not a run summary with {', '.join(fields)}")
     return summary
@@ -357,9 +358,7 @@ def cmd_report(args) -> int:
     rows = aggregate_report(summaries)
     sink = open(args.output, "w", newline="", encoding="utf-8") if args.output else None
     with sink or contextlib.nullcontext(sys.stdout) as out:
-        writer = csv.DictWriter(out, fieldnames=rows[0])
-        writer.writeheader()
-        writer.writerows(rows)
+        diag_mod.write_csv(out, rows[0], (row.values() for row in rows))
     return EXIT_OK
 
 

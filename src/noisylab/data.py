@@ -144,7 +144,7 @@ def read_jsonl(path):
                 continue
             try:
                 rec = json.loads(line)
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
                 raise ParseError(f"{path}: line {lineno}: {e}") from None
             if not isinstance(rec, dict):
                 raise ParseError(f"{path}: line {lineno}: not a JSON object")

@@ -92,34 +92,29 @@ def roc(snap: LossSnapshot) -> RocCurve:
     )
 
 
+def write_csv(out, header, rows) -> None:
+    """A header line, then one line per row, to the open text stream ``out``."""
+    w = csv.writer(out)
+    w.writerow(header)
+    w.writerows(rows)
+
+
 def write_histogram_csv(snap: LossSnapshot, path, bins: int = 50) -> None:
     edges, correct, wrong = histogram(snap, bins)
+    rows = ([f"{lo:.6g}", f"{hi:.6g}", c, w] for lo, hi, c, w in zip(edges, edges[1:], correct, wrong))
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_left", "bin_right", "count_correct", "count_wrong"])
-        for i in range(len(correct)):
-            w.writerow([f"{edges[i]:.6g}", f"{edges[i + 1]:.6g}", correct[i], wrong[i]])
+        write_csv(f, ["bin_left", "bin_right", "count_correct", "count_wrong"], rows)
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
+    rows = (["inf" if np.isinf(t) else f"{t:.12g}", f"{fpr:.12g}", f"{tpr:.12g}"]
+            for t, (fpr, tpr) in zip(curve.thresholds, curve.points))
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["threshold", "fpr", "tpr"])
-        for t, (fpr, tpr) in zip(curve.thresholds, curve.points):
-            w.writerow(["inf" if np.isinf(t) else f"{t:.12g}", f"{fpr:.12g}", f"{tpr:.12g}"])
+        write_csv(f, ["threshold", "fpr", "tpr"], rows)
 
 
 def write_report_csv(rows: list[dict], path) -> None:
+    numbers = ("auc", "best_val_acc", "best_test_acc", "final_test_acc")
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["strategy", "auc", "best_val_acc", "best_test_acc", "final_test_acc"])
-        for r in rows:
-            w.writerow(
-                [
-                    r["strategy"],
-                    f"{r['auc']:.6f}",
-                    f"{r['best_val_acc']:.6f}",
-                    f"{r['best_test_acc']:.6f}",
-                    f"{r['final_test_acc']:.6f}",
-                ]
-            )
+        write_csv(f, ["strategy", *numbers],
+                  ([r["strategy"], *(f"{r[key]:.6f}" for key in numbers)] for r in rows))

@@ -86,11 +86,13 @@ def _text_dataset(c, line):
 
 
 _BAD_CSVS = {"not_numeric": "a,b\n", "ragged": "0.5,0.5\n1\n", "empty": ""}
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested past any recursion limit
 _BAD_LINES = {
     "label_string": '{"id": "b", "text": "t", "clean_label": "zz"}',
     "label_bool": '{"id": "b", "text": "t", "clean_label": true}',
     "label_fraction": '{"id": "b", "text": "t", "clean_label": 1.7}',
     "line_number": "5",
+    "nested_deep": _DEEP,
 }
 
 # Sizes of a synthetic dataset that no array can hold.
@@ -209,11 +211,12 @@ class TestInject:
              "line 2: missing 'keyword'"),
             ("rules.jsonl", '{"keyword": "word1", "class": 1}\nword2 -> 2\n', "line 2"),
             ("rules.jsonl", '{"keyword": "word1", "class": true}\n', "line 1: class"),
+            ("rules.jsonl", '{"keyword": "word1", "class": 1}\n' + _DEEP + "\n", "line 2"),
             *[("T.csv", text, "T.csv") for text in _BAD_CSVS.values()],
             *[("in.jsonl", '{"id": "a", "text": "t", "clean_label": 0}\n' + line, "line 2")
               for line in _BAD_LINES.values()],
         ],
-        ids=["missing_input", "rule_without_keyword", "rules_not_json", "rule_class_bool",
+        ids=["missing_input", "rule_without_keyword", "rules_not_json", "rule_class_bool", "rules_nested_deep",
              *[f"matrix_{name}" for name in _BAD_CSVS], *[f"input_{name}" for name in _BAD_LINES]],
     )
     def test_unreadable_input_one_line_failure(self, tmp_path, capsys, name, text, expected):
@@ -386,6 +389,9 @@ class TestRun:
             (lambda c: c["dataset"]["synth"].update(n=2**63 - 1), 2),
             (lambda c: c["train"].update(arch="mlp", hidden=2**40), 1),  # 2 PiB: fails at once
             *[(lambda c, h=h: c["train"].update(arch="mlp", hidden=h), 2) for h in (2**56, 2**63, 1e308)],
+            *[(lambda c, d=d: (_rules_on_text(c), c["dataset"].update(featurize_dims=d)), 2)
+              for d in (2**62, 1e308)],
+            (lambda c: "a: " + _DEEP, 2),  # raw text: yaml.safe_dump recurses too
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
@@ -404,12 +410,16 @@ class TestRun:
              "noise_type_list", "strategy_name_list", "synth_noise_size", "synth_proto_size",
              "rule_keyword_two_tokens", "synth_k_0", "synth_k_-1",
              *[f"synth_{name}" for name in _OVERSIZED], "synth_n_2^63-1", "hidden_2^40",
-             "hidden_2^56", "hidden_2^63", "hidden_1e308"],
+             "hidden_2^56", "hidden_2^63", "hidden_1e308", "featurize_dims_2^62",
+             "featurize_dims_1e308", "yaml_nested_deep"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, request, edit, code):
+        """``edit`` changes the config in place, or returns the config file's text."""
         cfg = _small_config(tmp_path, trials=1)
-        edit(cfg)
-        proc = _cli("run", str(_write_config(tmp_path, cfg)))
+        text = edit(cfg)
+        path = tmp_path / "config.yaml"
+        path.write_text(text if isinstance(text, str) else yaml.safe_dump(cfg))
+        proc = _cli("run", str(path))
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == (code != 0), proc.stderr
@@ -579,7 +589,9 @@ class TestReport:
         _summaries(tmp_path, _SUMMARY, _SUMMARY)
         out = tmp_path / "out"
         assert main(["report", str(out), str(out), str(out / "vanilla" / "trial_1")]) == 0
-        assert capsys.readouterr().out.splitlines()[1].startswith("vanilla,2,")
+        assert capsys.readouterr().out == (
+            "strategy,trials,best_test_acc,memorization_gap,auc\r\nvanilla,2,90.00±0.00,10.00,0.7000\r\n"
+        )
 
 
 class TestDiagnose:
@@ -630,6 +642,7 @@ class TestDiagnose:
 _SUMMARY = json.dumps(
     {"strategy": "vanilla", "trial": 0, "best_test_acc": 0.9, "final_test_acc": 0.8, "auc": 0.7}
 )
+_DIAGNOSE_SUMMARY = _SUMMARY.replace("}", ', "best_val_acc": 0.9}')
 
 
 def _summaries(tmp_path, *texts):
@@ -648,12 +661,18 @@ def _snapshot(tmp_path, cut):
     path.write_bytes(cut(path.read_bytes()))
 
 
+def _diagnose_summary(tmp_path, text):
+    """A run directory with a valid snapshot.npz and a summary.json holding ``text``."""
+    _snapshot(tmp_path, lambda b: b)
+    (tmp_path / "out" / "vanilla" / "trial_0" / "summary.json").write_text(text)
+
+
 def _malformed_snapshot(tmp_path, **arrays):
     """A run directory with a valid summary.json and a snapshot.npz whose
     arrays are the well-formed ones with ``arrays`` swapped in."""
     run_dir = tmp_path / "out" / "vanilla" / "trial_0"
     run_dir.mkdir(parents=True)
-    (run_dir / "summary.json").write_text(_SUMMARY.replace("}", ', "best_val_acc": 0.9}'))
+    (run_dir / "summary.json").write_text(_DIAGNOSE_SUMMARY)
     good = {"losses": np.ones(4), "is_wrong": np.array([0, 1, 0, 1], dtype=bool), "step": 3}
     np.savez(run_dir / "snapshot.npz", **{**good, **arrays})
 
@@ -674,9 +693,7 @@ def _malformed_snapshot(tmp_path, **arrays):
          ["report", "{t}/out"], 0, "skipping unreadable run"),
         (lambda t: _summaries(t, _SUMMARY, _SUMMARY, "[]"),
          ["report", "{t}/out"], 0, "skipping unreadable run"),
-        (lambda t: (_snapshot(t, lambda b: b),
-                    (t / "out" / "vanilla" / "trial_0" / "summary.json").write_text("{}")),
-         ["diagnose", "{t}/out/vanilla/trial_0"], 1, "summary.json"),
+        (lambda t: _diagnose_summary(t, "{}"), ["diagnose", "{t}/out/vanilla/trial_0"], 1, "summary.json"),
         (lambda t: _summaries(t, _SUMMARY, _SUMMARY, _SUMMARY.replace('"auc": 0.7', '"auc": "x"')),
          ["report", "{t}/out"], 0, "skipping unreadable run"),
         (lambda t: _summaries(
@@ -691,12 +708,26 @@ def _malformed_snapshot(tmp_path, **arrays):
         ), ["diagnose", "{t}/out/vanilla/trial_0"], 1, "snapshot.npz"),
         (lambda t: _malformed_snapshot(t, step=2.7),
          ["diagnose", "{t}/out/vanilla/trial_0"], 1, "snapshot.npz"),
+        (lambda t: _summaries(t, _SUMMARY, _SUMMARY, _DEEP),
+         ["report", "{t}/out"], 0, "skipping unreadable run"),
+        (lambda t: _diagnose_summary(t, _DEEP), ["diagnose", "{t}/out/vanilla/trial_0"], 1, "summary.json"),
+        (lambda t: _summaries(t, _SUMMARY, _SUMMARY, _SUMMARY.replace(
+            '"best_test_acc": 0.9', '"best_test_acc": NaN').replace('"auc": 0.7', '"auc": Infinity')),
+         ["report", "{t}/out"], 0, "skipping unreadable run"),
+        (lambda t: _summaries(t, _SUMMARY, _SUMMARY, _SUMMARY.replace(
+            '"final_test_acc": 0.8', '"final_test_acc": 1' + "0" * 400)),
+         ["report", "{t}/out"], 0, "skipping unreadable run"),
+        (lambda t: _diagnose_summary(
+            t, _DIAGNOSE_SUMMARY.replace('"best_val_acc": 0.9', '"best_val_acc": NaN')),
+         ["diagnose", "{t}/out/vanilla/trial_0"], 1, "summary.json"),
     ],
     ids=["diagnose_bins_0", "snapshot_not_zip", "snapshot_truncated",
          "report_output_dir_missing", "report_summary_truncated",
          "report_summary_empty_mapping", "report_summary_list", "diagnose_summary_empty_mapping",
          "report_summary_auc_string", "report_summary_acc_bool", "diagnose_without_summary",
-         "snapshot_step_array", "snapshot_losses_2d", "snapshot_step_float"],
+         "snapshot_step_array", "snapshot_losses_2d", "snapshot_step_float",
+         "report_summary_nested_deep", "diagnose_summary_nested_deep", "report_summary_nan_inf",
+         "report_summary_int_past_float", "diagnose_summary_nan"],
 )
 def test_report_diagnose_bad_input_one_line(tmp_path, setup, argv, code, expected):
     setup(tmp_path)

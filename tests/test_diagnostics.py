@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import noisylab as nl
-from noisylab.diagnostics import LossSnapshot
+from noisylab.diagnostics import LossSnapshot, write_histogram_csv, write_report_csv, write_roc_csv
 from noisylab.errors import ConfigError, DegenerateClassError, SizeError
 from noisylab.model import Params
 from conftest import dense_probs, mann_whitney_auc, with_noise
@@ -135,3 +135,33 @@ class TestRoc:
         with pytest.raises(DegenerateClassError):
             nl.roc(_snap([0.1, 0.2], [False, False]))
 
+
+class TestCsvBytes:
+    """The bytes ``diagnose`` writes, pinned as literal text."""
+
+    def test_tables(self, tmp_path):
+        tied = _snap([0.1, 0.7, 0.7, 2.3, 1.1, 0.1, 0.7], [False, True, False, True, False, True, False])
+        curve = nl.roc(tied)
+        write_histogram_csv(tied, tmp_path / "histogram.csv", bins=4)
+        write_roc_csv(curve, tmp_path / "roc.csv")
+        write_report_csv([{"strategy": "vanilla", "trial": 0, "auc": curve.auc, "best_val_acc": 0.9,
+                           "best_test_acc": 2 / 3, "final_test_acc": 0.8125}], tmp_path / "report.csv")
+        assert (tmp_path / "histogram.csv").read_bytes() == (
+            b"bin_left,bin_right,count_correct,count_wrong\r\n"
+            b"0,0.575,1,1\r\n0.575,1.15,3,1\r\n1.15,1.725,0,0\r\n1.725,2.3,0,1\r\n"
+        )
+        assert (tmp_path / "roc.csv").read_bytes() == (
+            b"threshold,fpr,tpr\r\ninf,0,0\r\n2.3,0,0.333333333333\r\n1.1,0.25,0.333333333333\r\n"
+            b"0.7,0.75,0.666666666667\r\n0.1,1,1\r\n"
+        )
+        assert (tmp_path / "report.csv").read_bytes() == (
+            b"strategy,auc,best_val_acc,best_test_acc,final_test_acc\r\n"
+            b"vanilla,0.541667,0.900000,0.666667,0.812500\r\n"
+        )
+
+    def test_all_zero_histogram(self, tmp_path):
+        write_histogram_csv(_snap([0.0, 0.0, 0.0], [False, True, False]), tmp_path / "h.csv", bins=3)
+        assert (tmp_path / "h.csv").read_bytes() == (
+            b"bin_left,bin_right,count_correct,count_wrong\r\n"
+            b"0,0.333333,2,1\r\n0.333333,0.666667,0,0\r\n0.666667,1,0,0\r\n"
+        )
