@@ -27,7 +27,7 @@ from . import model as model_mod
 from . import noise as noise_mod
 from . import strategies as strat_mod
 from . import trainer as trainer_mod
-from .errors import ConfigError, DegenerateClassError, NoisyLabError, ParseError, SizeError
+from .errors import ConfigError, DegenerateClassError, NoisyLabError, ParseError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -79,7 +79,7 @@ def _from_config(fn, block, where: str, **resolved):
     positional-or-keyword parameters, each converted to its declared type; one
     without a default is required. Keyword-only parameters keep their defaults,
     and ``resolved`` holds parameters the caller works out itself, which the
-    block may not set."""
+    block may not set. A value ``fn`` rejects is reported under ``where``."""
     params = {k: p for k, p in inspect.signature(fn).parameters.items()
               if p.kind is p.POSITIONAL_OR_KEYWORD and k not in resolved}
     required = [name for name, p in params.items() if p.default is p.empty]
@@ -88,7 +88,10 @@ def _from_config(fn, block, where: str, **resolved):
     kwargs = dict(resolved)
     for key, value in block.items():
         kwargs[key] = _typed(value, hints[key], f"{where}: {key}")
-    return fn(**kwargs)
+    try:
+        return fn(**kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def load_config(path):
@@ -210,7 +213,7 @@ def cmd_inject(args) -> int:
             raise ConfigError(f"--type {args.type} takes exactly --{needs}")
         if args.level is not None:
             noise_mod.check_level(args.level)
-    except NoisyLabError as e:
+    except ConfigError as e:
         print(f"inject: {e}", file=sys.stderr)
         return EXIT_USAGE
     ds = data_mod.load_jsonl(args.input, args.k)
@@ -238,9 +241,8 @@ def run_sweep(splits, strategies, base_cfg, trials: int, out_root: Path) -> int:
                 stale.unlink(missing_ok=True)
             tcfg = dataclasses.replace(base_cfg, seed=base_cfg.seed + trial)
             try:
-                record, best_p, final_p = trainer_mod.train(
-                    train_ds, val_ds, test_ds, strategy, tcfg
-                )
+                with np.errstate(over="raise", invalid="raise", divide="raise"):  # a run that overflows fails
+                    record, best_p, final_p = trainer_mod.train(train_ds, val_ds, test_ds, strategy, tcfg)
                 snap = diag_mod.snapshot_losses(best_p, train_ds, step=record.best_step)
                 record.write_jsonl(run_dir / "record.jsonl")
                 model_mod.save_checkpoint(best_p, run_dir / "best.npz")
@@ -261,7 +263,7 @@ def run_sweep(splits, strategies, base_cfg, trials: int, out_root: Path) -> int:
                 tmp = run_dir / "summary.json.tmp"
                 tmp.write_text(text, encoding="utf-8")
                 os.replace(tmp, run_dir / "summary.json")
-            except NoisyLabError as e:
+            except (NoisyLabError, FloatingPointError) as e:
                 (run_dir / FAILURE_MARKER).write_text(str(e) + "\n", encoding="utf-8")
                 print(f"run {strategy.name}/trial_{trial} failed: {e}", file=sys.stderr)
                 failures += 1
@@ -371,7 +373,7 @@ def cmd_diagnose(args) -> int:
         raise ParseError(f"{path}: step must be one integer, not {step.dtype} of shape {step.shape}")
     try:
         snap = diag_mod.LossSnapshot(z["losses"], z["is_wrong"], int(step))
-    except SizeError as e:
+    except ConfigError as e:
         raise ParseError(f"{path}: {e}") from None
     summary = _read_summary(run_dir / "summary.json", _DIAGNOSE_FIELDS)
     diag_mod.write_histogram_csv(snap, run_dir / "histogram.csv", bins=args.bins)

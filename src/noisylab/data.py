@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DomainError, ParseError, ShapeError, SizeError
+from .errors import ConfigError, ParseError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -82,7 +82,9 @@ class Dataset:
 
     def __post_init__(self):
         if self.k < 2:
-            raise DomainError(f"k must be >= 2, got {self.k}")
+            raise ConfigError(f"k must be >= 2, got {self.k}")
+        if 8 * self.k * self.k > np.iinfo(np.intp).max:
+            raise ConfigError(f"k={self.k} is too large for a k x k noise matrix")
         if self.clean_labels is None and self.noisy_labels is None:
             raise ConfigError("dataset needs at least one label sequence")
         n = len(self.examples)
@@ -93,18 +95,18 @@ class Dataset:
             labels = np.asarray(labels, dtype=np.int64)
             object.__setattr__(self, name, labels)
             if len(labels) != n:
-                raise ShapeError(f"{name} has length {len(labels)}, expected {n}")
+                raise ConfigError(f"{name} has length {len(labels)}, expected {n}")
             if n and (labels.min() < 0 or labels.max() >= self.k):
                 bad = int(np.argmax((labels < 0) | (labels >= self.k)))
-                raise DomainError(
+                raise ConfigError(
                     f"label {labels[bad]} out of range [0,{self.k}) "
                     f"for example {self.examples[bad].id!r}"
                 )
         ids = [ex.id for ex in self.examples]
         if len(set(ids)) != len(ids):
-            raise DomainError("duplicate example ids in dataset")
+            raise ConfigError("duplicate example ids in dataset")
         if self.X is not None and self.X.shape[0] != n:
-            raise ShapeError(f"X has {self.X.shape[0]} rows, expected {n}")
+            raise ConfigError(f"X has {self.X.shape[0]} rows, expected {n}")
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -196,21 +198,21 @@ def split(ds: Dataset, train: float = 0.8, val: float = 0.1, test: float = 0.1,
     """Seeded shuffle then partition; floor-rounded sizes, remainder to train.
     Every fraction must be > 0 and they must sum to 1."""
     if seed < 0:
-        raise DomainError(f"split seed must be non-negative, got {seed}")
+        raise ConfigError(f"split seed must be non-negative, got {seed}")
     fractions = (train, val, test)
     if not all(f > 0 for f in fractions):
-        raise DomainError(f"split fractions must be > 0, got {fractions}")
+        raise ConfigError(f"split fractions must be > 0, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DomainError(f"split fractions sum to {sum(fractions)}, not 1")
+        raise ConfigError(f"split fractions sum to {sum(fractions)}, not 1")
     n = len(ds)
     if n == 0:
-        raise SizeError("cannot split an empty dataset")
+        raise ConfigError("cannot split an empty dataset")
     n_val = int(math.floor(val * n))
     n_test = int(math.floor(test * n))
     n_train = n - n_val - n_test
     for name, f, size in (("val", val, n_val), ("test", test, n_test), ("train", train, n_train)):
         if size == 0:
-            raise SizeError(f"{name} fraction {f} yields empty split at n={n}")
+            raise ConfigError(f"{name} fraction {f} yields empty split at n={n}")
     perm = np.random.default_rng(seed).permutation(n)
     return (
         ds.subset(perm[:n_train]),
@@ -225,11 +227,8 @@ def featurize(ds: Dataset, dims: int = 2**18) -> Dataset:
     Deterministic for fixed (text, dims); the hash is seedless FNV-1a. The
     corpus's grams are hashed together and counted with one ``np.unique``.
     """
-    if dims < 1 or dims & (dims - 1):
-        raise ConfigError(f"dims must be a power of two, got {dims}")
     n = len(ds)
-    if max(n, 1) * dims >= 2**63:  # each entry's key is row * dims + column, an int64
-        raise ConfigError(f"dims {dims} is too wide for {n} examples")
+    _check_width(dims, n, "dims")
     grams, per_row = [], []
     for ex in ds.examples:
         if not ex.text:
@@ -249,9 +248,20 @@ def featurize(ds: Dataset, dims: int = 2**18) -> Dataset:
     return dataclasses.replace(ds, X=X)
 
 
+def _check_width(dims: int, n: int, what: str) -> None:
+    """Reject a hash width ``dims``, named ``what``, that is not a power of two
+    or whose keys over ``n`` rows, row * dims + column, overflow an int64."""
+    if dims < 1 or dims & (dims - 1):
+        raise ConfigError(f"{what} must be a power of two, got {dims}")
+    if max(n, 1) * dims >= 2**63:
+        raise ConfigError(f"{what} {dims} is too wide for {n} examples")
+
+
 def load_text(path: str, k: int, featurize_dims: int = 2**18) -> Dataset:
     """A JSONL text dataset, featurized and compacted to the buckets it uses."""
-    return compact_columns(featurize(load_jsonl(path, k), featurize_dims))
+    ds = load_jsonl(path, k)
+    _check_width(featurize_dims, len(ds), "featurize_dims")
+    return compact_columns(featurize(ds, featurize_dims))
 
 
 def compact_columns(ds: Dataset) -> Dataset:
@@ -283,13 +293,13 @@ def synth_dataset(
     Only the per-example draws loop over examples; the rows are built as arrays.
     """
     if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
+        raise ConfigError(f"k must be >= 2, got {k}")
     if not 0 < margin <= 1:
-        raise DomainError(f"margin must be in (0,1], got {margin}")
+        raise ConfigError(f"margin must be in (0,1], got {margin}")
     if n < k:
-        raise SizeError(f"need n >= k, got n={n}, k={k}")
+        raise ConfigError(f"need n >= k, got n={n}, k={k}")
     if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if dims < 2 * k * proto_size:
         raise ConfigError("dims too small for the requested prototypes")
     if 8 * max(n, dims, n * (proto_size + noise_size)) > np.iinfo(np.intp).max:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DegenerateClassError, SizeError
+from .errors import ConfigError, DegenerateClassError
 from .model import CrossEntropy, Params, predict_probs
 
 
@@ -26,9 +26,9 @@ class LossSnapshot:
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "is_wrong", is_wrong)
         if losses.ndim != 1 or losses.shape != is_wrong.shape:
-            raise SizeError(f"losses {losses.shape}, is_wrong {is_wrong.shape}: not aligned 1-d")
+            raise ConfigError(f"losses {losses.shape}, is_wrong {is_wrong.shape}: not aligned 1-d")
         if len(losses) and (not np.all(np.isfinite(losses)) or losses.min() < 0):
-            raise SizeError("losses must be finite and non-negative")
+            raise ConfigError("losses must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ def snapshot_losses(params: Params, ds: Dataset, step: int = 0) -> LossSnapshot:
 def histogram(snap: LossSnapshot, bins: int = 50):
     """Equal-width bins over [0, max loss]; returns (edges, correct, wrong)."""
     if bins < 1:
-        raise SizeError(f"bins must be >= 1, got {bins}")
+        raise ConfigError(f"bins must be >= 1, got {bins}")
     if len(snap.losses) == 0:
-        raise SizeError("empty snapshot")
+        raise ConfigError("empty snapshot")
     hi = float(snap.losses.max())
     if hi == 0.0:
         hi = 1.0  # all-zero losses: a single degenerate spike in bin 0

@@ -2,33 +2,20 @@
 
 
 class NoisyLabError(Exception):
-    pass
-
-
-class ParseError(NoisyLabError):
-    pass
-
-
-class DomainError(NoisyLabError):
-    pass
+    """Base of every error the package raises on purpose."""
 
 
 class ConfigError(NoisyLabError):
-    pass
+    """A value the callee cannot accept: out of range, misshapen or too large."""
 
 
-class ShapeError(NoisyLabError):
-    pass
-
-
-class SizeError(NoisyLabError):
-    pass
+class ParseError(NoisyLabError):
+    """A file that cannot be read as what it should hold."""
 
 
 class NumericError(NoisyLabError):
-    pass
+    """Training produced a non-finite value."""
 
 
 class DegenerateClassError(NoisyLabError):
-    pass
-
+    """A ROC is undefined: the labels are all clean or all wrong."""

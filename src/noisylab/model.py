@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset, feature_matrix
-from .errors import ConfigError, NumericError, ParseError, ShapeError
+from .errors import ConfigError, NumericError, ParseError
 
 PROB_CLAMP = 1e-12
 INIT_SCALE = 0.05
@@ -97,7 +97,7 @@ def _forward_batch(p: Params, X: sp.csr_matrix, A=None):
     output layer are not: BLAS may round a row differently in another batch."""
     if A is None:
         if X.shape[1] != p.w1.shape[0]:
-            raise ShapeError(f"input dims {X.shape[1]} != model dims {p.w1.shape[0]}")
+            raise ConfigError(f"input dims {X.shape[1]} != model dims {p.w1.shape[0]}")
         A = X @ p.w1 + p.b1
         if p.w2 is not None:
             A = np.tanh(A)

@@ -9,13 +9,14 @@ audits.
 from __future__ import annotations
 
 import dataclasses
+import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, json_int, read_jsonl, tokenize
-from .errors import ConfigError, DomainError, ParseError, ShapeError
+from .errors import ConfigError, ParseError
 
 ROW_SUM_TOL = 1e-9
 
@@ -31,16 +32,16 @@ class TransitionMatrix:
         rows = np.asarray(self.rows, dtype=np.float64)
         object.__setattr__(self, "rows", rows)
         if rows.shape != (self.k, self.k):
-            raise ShapeError(f"expected shape ({self.k},{self.k}), got {rows.shape}")
+            raise ConfigError(f"expected shape ({self.k},{self.k}), got {rows.shape}")
         outside = ~((rows >= 0) & (rows <= 1))  # NaN is outside too
         if np.any(outside):
             i = int(np.argmax(np.any(outside, axis=1)))
-            raise DomainError(f"row {i} has an entry outside [0,1]")
+            raise ConfigError(f"row {i} has an entry outside [0,1]")
         sums = rows.sum(axis=1)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise DomainError(f"row {i} sums to {sums[i]}, not 1")
+            raise ConfigError(f"row {i} sums to {sums[i]}, not 1")
 
     @classmethod
     def load_csv(cls, path) -> "TransitionMatrix":
@@ -65,9 +66,9 @@ class RuleSet:
     def __post_init__(self):
         for kw, c in self.rules:
             if tokenize(kw) != [kw.lower()]:  # inject_rules matches whole tokens only
-                raise DomainError(f"rule keyword {kw!r} is not one token, so it never matches")
+                raise ConfigError(f"rule keyword {kw!r} is not one token, so it never matches")
             if c < 0:
-                raise DomainError(f"negative class in rule ({kw!r}, {c})")
+                raise ConfigError(f"negative class in rule ({kw!r}, {c})")
 
     @classmethod
     def load_jsonl(cls, path, abstain_to_clean: bool = True) -> "RuleSet":
@@ -76,21 +77,23 @@ class RuleSet:
             where = f"{path}: line {lineno}"
             if "keyword" not in rec:
                 raise ParseError(f"{where}: missing 'keyword'")
-            rules.append((str(rec["keyword"]), json_int(rec.get("class"), f"{where}: class")))
+            if not isinstance(kw := rec["keyword"], str):
+                raise ParseError(f"{where}: keyword must be a string, got {json.dumps(kw)}")
+            rules.append((kw, json_int(rec.get("class"), f"{where}: class")))
         return cls(rules=tuple(rules), abstain_to_clean=abstain_to_clean)
 
 
 def check_level(level: float) -> float:
     """A noise level, which must be in [0,1)."""
     if not 0 <= level < 1:
-        raise DomainError(f"level must be in [0,1), got {level}")
+        raise ConfigError(f"level must be in [0,1), got {level}")
     return level
 
 
 def uniform_matrix(k: int, level: float) -> TransitionMatrix:
     """Keep the label w.p. 1-level, spread level evenly over the k-1 wrong classes."""
     if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
+        raise ConfigError(f"k must be >= 2, got {k}")
     check_level(level)
     rows = np.full((k, k), level / (k - 1))
     np.fill_diagonal(rows, 1.0 - level)
@@ -100,7 +103,7 @@ def uniform_matrix(k: int, level: float) -> TransitionMatrix:
 def single_flip_matrix(k: int, level: float) -> TransitionMatrix:
     """Send level mass of each class i to the one wrong class (i+1) mod k."""
     if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
+        raise ConfigError(f"k must be >= 2, got {k}")
     check_level(level)
     rows = np.zeros((k, k))
     for i in range(k):
@@ -117,11 +120,9 @@ def matrix_from_pairs(clean, noisy, k: int) -> TransitionMatrix:
     clean = np.asarray(clean, dtype=np.int64)
     noisy = np.asarray(noisy, dtype=np.int64)
     if clean.shape != noisy.shape or clean.ndim != 1 or len(clean) == 0:
-        raise ShapeError(
-            f"need equal-length nonempty sequences, got {clean.shape} and {noisy.shape}"
-        )
+        raise ConfigError(f"need equal-length nonempty sequences, got {clean.shape} and {noisy.shape}")
     if min(clean.min(), noisy.min()) < 0 or max(clean.max(), noisy.max()) >= k:
-        raise DomainError(f"label out of range for k={k}")
+        raise ConfigError(f"label out of range for k={k}")
     counts = np.zeros((k, k))
     np.add.at(counts, (clean, noisy), 1.0)
     totals = counts.sum(axis=1)
@@ -138,10 +139,10 @@ def inject(labels, T: TransitionMatrix, seed: int) -> np.ndarray:
     per (labels, T, seed) and independent of evaluation order.
     """
     if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) and (labels.min() < 0 or labels.max() >= T.k):
-        raise DomainError("label out of range for transition matrix")
+        raise ConfigError("label out of range for transition matrix")
     cum = np.cumsum(T.rows, axis=1)
     # rows may sum to 1 within ROW_SUM_TOL; a draw must never land past the last
     cum[:, -1] = 1.0
@@ -163,7 +164,7 @@ def inject_rules(ds: Dataset, rules: RuleSet) -> Dataset:
         raise ConfigError("rule injection needs clean labels")
     for kw, c in rules.rules:
         if c >= ds.k:
-            raise DomainError(f"rule class {c} out of range for k={ds.k}")
+            raise ConfigError(f"rule class {c} out of range for k={ds.k}")
     keywords = [(kw.lower(), c) for kw, c in rules.rules]
     noisy = []
     keep = []
@@ -189,7 +190,7 @@ def fdr(clean, noisy) -> float:
     clean = np.asarray(clean)
     noisy = np.asarray(noisy)
     if clean.shape != noisy.shape:
-        raise ShapeError(f"length mismatch: {clean.shape} vs {noisy.shape}")
+        raise ConfigError(f"length mismatch: {clean.shape} vs {noisy.shape}")
     return float(np.mean(clean != noisy))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError
 from .model import PROB_CLAMP, CrossEntropy, SmoothedCrossEntropy
 from .noise import TransitionMatrix
 
@@ -43,9 +43,7 @@ class NMat:
 
     def loss(self, k: int):
         if self.T.k != k:
-            raise ShapeError(
-                f"noise matrix is {self.T.k}x{self.T.k} but the data has k={k}"
-            )
+            raise ConfigError(f"noise matrix is {self.T.k}x{self.T.k} but the data has k={k}")
         return NMatCorrectedCE(self.T)
 
 
@@ -158,7 +156,7 @@ def project_rows_to_simplex(V: np.ndarray) -> np.ndarray:
 def keep_fraction(epoch: int, eps: float, ramp_epochs: int) -> float:
     """Co-teaching keep schedule: linear ramp from 1 down to 1 - eps."""
     if ramp_epochs < 1:
-        raise DomainError("ramp_epochs must be positive")
+        raise ConfigError("ramp_epochs must be positive")
     return 1.0 - eps * min(epoch / ramp_epochs, 1.0)
 
 
@@ -171,14 +169,12 @@ def coteach_select(losses_a, losses_b, frac: float):
     losses_a = np.asarray(losses_a)
     losses_b = np.asarray(losses_b)
     if losses_a.shape != losses_b.shape or losses_a.ndim != 1:
-        raise ShapeError(
-            f"loss shapes differ: {losses_a.shape} vs {losses_b.shape}"
-        )
+        raise ConfigError(f"loss shapes differ: {losses_a.shape} vs {losses_b.shape}")
     n = len(losses_a)
     if n == 0:
-        raise ShapeError("empty loss sequences")
+        raise ConfigError("empty loss sequences")
     if not 0 < frac <= 1:
-        raise DomainError(f"frac must be in (0,1], got {frac}")
+        raise ConfigError(f"frac must be in (0,1], got {frac}")
     m = math.ceil(frac * n)
     idx_for_a = np.sort(np.argsort(losses_b, kind="stable")[:m])
     idx_for_b = np.sort(np.argsort(losses_a, kind="stable")[:m])

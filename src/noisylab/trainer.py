@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset, feature_matrix
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .model import ARCHS, Params, _forward_batch, accuracy, init_params, step
 from .strategies import CoTeaching, NoValidation, Strategy, coteach_select, keep_fraction
 
@@ -132,7 +132,7 @@ def train(
     coteach = isinstance(strategy, CoTeaching)
 
     if not all(np.array_equal(ds.buckets, train_ds.buckets) for ds in (val_ds, test_ds)):
-        raise ShapeError("train, val and test must share one column numbering")
+        raise ConfigError("train, val and test must share one column numbering")
 
     loss_fn = strategy.loss(k)
     # A compacted dataset's model is the used rows of the hash-width model.

@@ -86,6 +86,7 @@ def _text_dataset(c, line):
 
 
 _BAD_CSVS = {"not_numeric": "a,b\n", "ragged": "0.5,0.5\n1\n", "empty": ""}
+_BAD_KEYWORDS = {"null": "null", "number": "12", "bool": "true"}  # rule keywords that are not JSON strings
 _DEEP = "[" * 100_000 + "]" * 100_000  # nested past any recursion limit
 _BAD_LINES = {
     "label_string": '{"id": "b", "text": "t", "clean_label": "zz"}',
@@ -105,8 +106,15 @@ _NAMED_IN_MESSAGE = {
     "level_1.5": "run: level must be in [0,1), got 1.5",
     "synth_noise_size": "unknown keys in dataset.synth: ['noise_size']",
     "rule_keyword_two_tokens": "rule keyword 'New York'",
-    "synth_k_0": "run: k must be >= 2, got 0",
-    "synth_n_2^63-1": "run: n=9223372036854775807 with dims=256 needs an array too large",
+    "synth_k_0": "run: dataset.synth: k must be >= 2, got 0",
+    "synth_n_2^63-1": "run: dataset.synth: n=9223372036854775807 with dims=256 needs an array too large",
+    "synth_seed_-1": "run: dataset.synth: seed must be non-negative, got -1",
+    "train_seed_-1": "run: train: seed must be non-negative, got -1",
+    "featurize_dims_0": "run: dataset: featurize_dims must be a power of two, got 0",
+    "featurize_dims_2^62": "run: dataset: featurize_dims 4611686018427387904 is too wide for 300 examples",
+    "dataset_k_2^63": "run: dataset: k=9223372036854775808 is too large for a k x k noise matrix",
+    "lam_1e308": "run nmwr/trial_0 failed: invalid value encountered",
+    "rule_keyword_null": "keyword.jsonl: line 1: keyword must be a string, got null",
     "hidden_2^56": "run: train: hidden=72057594037927936 with dims=256 needs an array too large",
 }
 
@@ -212,11 +220,14 @@ class TestInject:
             ("rules.jsonl", '{"keyword": "word1", "class": 1}\nword2 -> 2\n', "line 2"),
             ("rules.jsonl", '{"keyword": "word1", "class": true}\n', "line 1: class"),
             ("rules.jsonl", '{"keyword": "word1", "class": 1}\n' + _DEEP + "\n", "line 2"),
+            *[("rules.jsonl", f'{{"keyword": {kw}, "class": 1}}\n', f"line 1: keyword must be a string, got {kw}")
+              for kw in _BAD_KEYWORDS.values()],
             *[("T.csv", text, "T.csv") for text in _BAD_CSVS.values()],
             *[("in.jsonl", '{"id": "a", "text": "t", "clean_label": 0}\n' + line, "line 2")
               for line in _BAD_LINES.values()],
         ],
         ids=["missing_input", "rule_without_keyword", "rules_not_json", "rule_class_bool", "rules_nested_deep",
+             *[f"rule_keyword_{name}" for name in _BAD_KEYWORDS],
              *[f"matrix_{name}" for name in _BAD_CSVS], *[f"input_{name}" for name in _BAD_LINES]],
     )
     def test_unreadable_input_one_line_failure(self, tmp_path, capsys, name, text, expected):
@@ -350,6 +361,7 @@ class TestRun:
             (lambda c: c["train"].update(lr=float("nan")), 2),
             (lambda c: c["train"].update(lr=float("inf")), 2),
             (lambda c: c["strategies"].append({"name": "nmwr", "lam": float("nan")}), 2),
+            (lambda c: c["strategies"].append({"name": "nmwr", "lam": 1e308}), 1),  # 2 * lam * M is inf * 0
             (lambda c: (c["strategies"].append({"name": "no_validation"}),
                         c["train"].update(convergence_tol=float("nan"))), 2),
             (lambda c: c["train"].update(max_epochs=float("inf")), 2),
@@ -373,6 +385,8 @@ class TestRun:
             (lambda c: _rules_on_text(c, rules=["rules.jsonl"]), 2),
             (lambda c: c.update(noise={"type": "matrix", "matrix": 5}), 2),
             (lambda c: c["dataset"].update(k=7), 2),
+            (lambda c: (_text_dataset(c, '{"id": "b", "text": "t", "clean_label": 1}'),
+                        c["dataset"].update(k=2**63)), 2),
             (lambda c: c["dataset"].update(featurize_dims=3), 2),
             (lambda c: c["noise"].update(rules="nope.jsonl"), 2),
             (lambda c: c["noise"].update(matrix="nope.csv"), 2),
@@ -390,14 +404,16 @@ class TestRun:
             (lambda c: c["train"].update(arch="mlp", hidden=2**40), 1),  # 2 PiB: fails at once
             *[(lambda c, h=h: c["train"].update(arch="mlp", hidden=h), 2) for h in (2**56, 2**63, 1e308)],
             *[(lambda c, d=d: (_rules_on_text(c), c["dataset"].update(featurize_dims=d)), 2)
-              for d in (2**62, 1e308)],
+              for d in (0, 2**62, 1e308)],
+            *[(lambda c, kw=kw: _rules_on_text(c, rules=_beside(
+                c, "keyword.jsonl", f'{{"keyword": {kw}, "class": 1}}\n')), 2) for kw in _BAD_KEYWORDS.values()],
             (lambda c: "a: " + _DEEP, 2),  # raw text: yaml.safe_dump recurses too
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
              "synth_without_k", "split_train_x", "split_sum_0.7", "trials_abc",
              "dataset_3", "split_5", "noise_list", "split_val_0", "abstain_string_false",
-             "abstain_false", "output_dir_3", "lr_nan", "lr_inf", "lam_nan",
+             "abstain_false", "output_dir_3", "lr_nan", "lr_inf", "lam_nan", "lam_1e308",
              "convergence_tol_nan", "max_epochs_inf", "noise_matrix_nan", "train_seed_-1",
              "split_seed_-1", "noise_seed_-1", "synth_seed_-1", "arch_cnn", "hidden_-1",
              "hidden_0", "synth_n_inf",
@@ -405,13 +421,13 @@ class TestRun:
              *[f"nmat_matrix_{name}" for name in _BAD_CSVS], "nmat_matrix_false",
              "dataset_label_int", *[f"dataset_{name}" for name in _BAD_LINES],
              "rule_class_bool", "dataset_path_list", "noise_rules_list", "noise_matrix_number",
-             "synth_with_k", "synth_with_featurize_dims", "uniform_with_rules",
+             "synth_with_k", "dataset_k_2^63", "synth_with_featurize_dims", "uniform_with_rules",
              "uniform_with_matrix", "uniform_with_abstain", "duplicate_strategy",
              "noise_type_list", "strategy_name_list", "synth_noise_size", "synth_proto_size",
              "rule_keyword_two_tokens", "synth_k_0", "synth_k_-1",
              *[f"synth_{name}" for name in _OVERSIZED], "synth_n_2^63-1", "hidden_2^40",
-             "hidden_2^56", "hidden_2^63", "hidden_1e308", "featurize_dims_2^62",
-             "featurize_dims_1e308", "yaml_nested_deep"],
+             "hidden_2^56", "hidden_2^63", "hidden_1e308", "featurize_dims_0", "featurize_dims_2^62",
+             "featurize_dims_1e308", *[f"rule_keyword_{name}" for name in _BAD_KEYWORDS], "yaml_nested_deep"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, request, edit, code):
         """``edit`` changes the config in place, or returns the config file's text."""

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import noisylab as nl
 from noisylab.data import feature_matrix, fnv1a_64, tokenize
-from noisylab.errors import ConfigError, DomainError, ParseError, ShapeError, SizeError
+from noisylab.errors import ConfigError, ParseError
 from noisylab.model import accuracy
 
 
@@ -125,7 +126,7 @@ class TestLoadJsonl:
     def test_label_out_of_range_names_id(self, tmp_path):
         path = tmp_path / "d.jsonl"
         _write(path, [{"id": "bad-one", "text": "t", "clean_label": 7}])
-        with pytest.raises(DomainError, match="bad-one"):
+        with pytest.raises(ConfigError, match=re.escape("label 7 out of range [0,5) for example 'bad-one'")):
             nl.load_jsonl(path, k=5)
 
     def test_malformed_line_has_line_number(self, tmp_path):
@@ -206,7 +207,7 @@ class TestSplit:
 
     def test_empty_split_error(self):
         ds = nl.synth_dataset(k=2, n=4, margin=1.0, seed=0)
-        with pytest.raises(SizeError):
+        with pytest.raises(ConfigError, match="val fraction 0.1 yields empty split at n=4"):
             nl.split(ds, seed=1)
 
     @pytest.mark.parametrize(
@@ -214,7 +215,7 @@ class TestSplit:
     )
     def test_fraction_not_positive_rejected(self, fractions):
         ds = nl.synth_dataset(k=2, n=100, margin=1.0, seed=0)
-        with pytest.raises(DomainError, match="must be > 0"):
+        with pytest.raises(ConfigError, match="split fractions must be > 0"):
             nl.split(ds, *fractions)
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -351,13 +352,27 @@ class TestFeaturize:
             nl.Dataset(examples=(nl.Example(id="a", text="t"),), k=2, clean_labels=np.array([0])),
             64,
         ).X
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="X has 1 rows, expected 2"):
             nl.Dataset(
                 examples=(nl.Example(id="a", text="t"), nl.Example(id="b", text="u")),
                 k=2,
                 clean_labels=np.array([0, 1]),
                 X=X,
             )
+
+    @pytest.mark.parametrize("k", [2**31, 2**63])
+    def test_k_past_any_noise_matrix(self, k):
+        with pytest.raises(ConfigError, match=f"k={k} is too large for a k x k noise matrix"):
+            nl.Dataset(examples=(), k=k, clean_labels=np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("dims, expected", [(0, "featurize_dims must be a power of two, got 0"),
+                                                (2**62, f"featurize_dims {2**62} is too wide for 2 examples")],
+                             ids=["0", "2^62"])
+    def test_load_text_names_featurize_dims(self, tmp_path, dims, expected):
+        path = tmp_path / "d.jsonl"
+        _write(path, [{"id": "a", "text": "a b", "clean_label": 0}, {"id": "b", "text": "c", "clean_label": 1}])
+        with pytest.raises(ConfigError, match=expected):
+            nl.load_text(path, 2, dims)
 
 
 class TestCompactColumns:

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import noisylab as nl
 from noisylab.diagnostics import LossSnapshot, write_histogram_csv, write_report_csv, write_roc_csv
-from noisylab.errors import ConfigError, DegenerateClassError, SizeError
+from noisylab.errors import ConfigError, DegenerateClassError
 from noisylab.model import Params
 from conftest import dense_probs, mann_whitney_auc, with_noise
 
@@ -83,7 +83,7 @@ class TestHistogram:
         assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
     def test_empty_snapshot(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(ConfigError, match="empty snapshot"):
             nl.histogram(_snap([], []), bins=3)
 
 

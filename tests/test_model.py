@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noisylab as nl
-from noisylab.errors import ConfigError, NumericError, ParseError, ShapeError
+from noisylab.errors import ConfigError, NumericError, ParseError
 from noisylab.model import (
     CrossEntropy,
     Params,
@@ -98,7 +98,7 @@ class TestForward:
 
     def test_dim_mismatch(self):
         p = nl.init_params(8, 3, seed=1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="input dims 5 != model dims 8"):
             _probs(p, np.ones(5))
 
     def test_class_permutation_equivariance(self):

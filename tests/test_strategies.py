@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisylab as nl
-from noisylab.errors import DomainError, ShapeError
+from noisylab.errors import ConfigError
 from noisylab.model import CrossEntropy, softmax
 from noisylab.strategies import NMatCorrectedCE, NMwRTrainableLoss, project_rows_to_simplex
 from conftest import row_loss
@@ -44,7 +45,7 @@ class TestNmatLoss:
         assert row_loss(NMatCorrectedCE(T), probs, 0) == pytest.approx(-math.log(0.54), rel=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="noise matrix is 3x3 but the data has k=2"):
             nl.NMat(T=nl.uniform_matrix(3, 0.1)).loss(2)
 
     def test_q_stays_on_simplex(self):
@@ -196,11 +197,11 @@ class TestCoteachSelect:
         assert np.array_equal(sel_b, swapped_a)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=re.escape("loss shapes differ: (1,) vs (2,)")):
             nl.coteach_select([0.1], [0.1, 0.2], 0.5)
 
     def test_bad_frac(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match=re.escape("frac must be in (0,1], got 0.0")):
             nl.coteach_select([0.1], [0.2], 0.0)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import noisylab as nl
 from noisylab import trainer
-from noisylab.errors import ConfigError, ShapeError
+from noisylab.errors import ConfigError
 from noisylab.model import accuracy
 from conftest import keyword_corpus, with_noise
 
@@ -194,7 +194,7 @@ class TestCompactedText:
         # compacting each split on its own numbers their columns differently
         splits = _text_splits(nl.featurize(keyword_corpus(n=100, seed=34), 2**10))
         tr, va, te = (nl.compact_columns(ds) for ds in splits)
-        with pytest.raises(ShapeError, match="numbering"):
+        with pytest.raises(ConfigError, match="train, val and test must share one column numbering"):
             nl.train(tr, va, te, nl.Vanilla(), _cfg())
 
 
