@@ -198,12 +198,12 @@ def split(ds: Dataset, train: float = 0.8, val: float = 0.1, test: float = 0.1,
     """Seeded shuffle then partition; floor-rounded sizes, remainder to train.
     Every fraction must be > 0 and they must sum to 1."""
     if seed < 0:
-        raise ConfigError(f"split seed must be non-negative, got {seed}")
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     fractions = (train, val, test)
     if not all(f > 0 for f in fractions):
-        raise ConfigError(f"split fractions must be > 0, got {fractions}")
+        raise ConfigError(f"fractions must be > 0, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions sum to {sum(fractions)}, not 1")
+        raise ConfigError(f"fractions sum to {sum(fractions)}, not 1")
     n = len(ds)
     if n == 0:
         raise ConfigError("cannot split an empty dataset")

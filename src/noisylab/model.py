@@ -19,6 +19,7 @@ from .errors import ConfigError, NumericError, ParseError
 PROB_CLAMP = 1e-12
 INIT_SCALE = 0.05
 ARCHS = ("linear", "mlp")
+_MAXPRINT = sp.csr_matrix((0, 0)).maxprint  # the print limit scipy's constructors set
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,26 @@ class SmoothedCrossEntropy:
         return losses, probs - T
 
 
+def _compressed(cls, data, indices, indptr, shape):
+    """A ``cls`` (a scipy CSR or CSC class) over ``data``, ``indices`` and
+    ``indptr`` as they are, for arrays already in the canonical form and index
+    dtype that its constructor would keep: the same object, minus the
+    constructor's checks and copies."""
+    X = cls.__new__(cls)
+    X.data, X.indices, X.indptr, X._shape, X.maxprint = data, indices, indptr, shape, _MAXPRINT
+    return X
+
+
+def _take_rows(X, sel):
+    """Rows ``sel`` of a CSR matrix, as ``X[sel]`` holds them, by one gather:
+    the new row i's entries are the old row sel[i]'s, shifted to its start."""
+    lens = np.diff(X.indptr)[sel]
+    indptr = np.zeros(len(lens) + 1, dtype=X.indptr.dtype)
+    np.cumsum(lens, out=indptr[1:])
+    at = np.repeat(X.indptr[sel] - indptr[:-1], lens) + np.arange(indptr[-1], dtype=indptr.dtype)
+    return _compressed(type(X), X.data[at], X.indices[at], indptr, (len(lens), X.shape[1]))
+
+
 def step(p: Params, X: sp.csr_matrix, labels: np.ndarray, lr: float, loss_fn, forward=None) -> float:
     """One SGD step on the mean batch loss. Updates ``p``'s arrays in place,
     touching only the ``w1`` rows of the batch's feature columns, and returns
@@ -158,9 +179,9 @@ def step(p: Params, X: sp.csr_matrix, labels: np.ndarray, lr: float, loss_fn, fo
     seen = np.zeros(dims, dtype=bool)
     seen[X.indices] = True
     cols = np.flatnonzero(seen)
-    position = np.empty(dims, dtype=np.intp)
+    position = np.empty(dims, dtype=X.indices.dtype)
     position[cols] = np.arange(len(cols))
-    XcT = sp.csc_array((X.data, position[X.indices], X.indptr), shape=(len(cols), n))
+    XcT = _compressed(sp.csc_array, X.data, position[X.indices], X.indptr, (len(cols), n))
     if p.w2 is None:
         grads = {"w1": XcT @ dZ, "b1": dZ.sum(axis=0)}
     else:

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .data import Dataset, feature_matrix
 from .errors import ConfigError
-from .model import ARCHS, Params, _forward_batch, accuracy, init_params, step
+from .model import ARCHS, Params, _compressed, _forward_batch, _take_rows, accuracy, init_params, step
 from .strategies import CoTeaching, NoValidation, Strategy, coteach_select, keep_fraction
 
 
@@ -98,7 +98,7 @@ def _row_slice(X: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
     """Rows ``start:stop`` of a CSR matrix, as views of its data and indices."""
     indptr = X.indptr[start : stop + 1]
     a, b = indptr[0], indptr[-1]
-    return sp.csr_matrix((X.data[a:b], X.indices[a:b], indptr - a), shape=(len(indptr) - 1, X.shape[1]))
+    return _compressed(type(X), X.data[a:b], X.indices[a:b], indptr - a, (len(indptr) - 1, X.shape[1]))
 
 
 def train(
@@ -169,7 +169,7 @@ def train(
     per_epoch = -(-n // cfg.batch_size)  # steps
     for epoch in range(cfg.max_epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
-        Xe, ye = Xtr[order], ytr[order]
+        Xe, ye = _take_rows(Xtr, order), ytr[order]
         if coteach:
             frac = keep_fraction(epoch, strategy.eps, strategy.ramp_epochs)
         for start in range(0, n, cfg.batch_size):
@@ -182,8 +182,8 @@ def train(
                 lb, _ = loss_fn.per_sample(probs_b, y)
                 sel_a, sel_b = coteach_select(la, lb, frac)
                 # Each network steps on its kept rows of the first layer it just ran.
-                step(params, X[sel_a], y[sel_a], cfg.lr, loss_fn, forward=A_a[sel_a])
-                step(params_b, X[sel_b], y[sel_b], cfg.lr, loss_fn, forward=A_b[sel_b])
+                step(params, _take_rows(X, sel_a), y[sel_a], cfg.lr, loss_fn, forward=A_a[sel_a])
+                step(params_b, _take_rows(X, sel_b), y[sel_b], cfg.lr, loss_fn, forward=A_b[sel_b])
                 losses.append(float(np.mean(la)))
             else:
                 losses.append(step(params, X, y, cfg.lr, loss_fn))

@@ -110,6 +110,9 @@ _NAMED_IN_MESSAGE = {
     "synth_n_2^63-1": "run: dataset.synth: n=9223372036854775807 with dims=256 needs an array too large",
     "synth_seed_-1": "run: dataset.synth: seed must be non-negative, got -1",
     "train_seed_-1": "run: train: seed must be non-negative, got -1",
+    "split_seed_-1": "run: split: seed must be non-negative, got -1",
+    "split_sum_0.7": "run: split: fractions sum to 0.7, not 1",
+    "split_val_0": "run: split: fractions must be > 0, got (0.9, 0.0, 0.1)",
     "featurize_dims_0": "run: dataset: featurize_dims must be a power of two, got 0",
     "featurize_dims_2^62": "run: dataset: featurize_dims 4611686018427387904 is too wide for 300 examples",
     "dataset_k_2^63": "run: dataset: k=9223372036854775808 is too large for a k x k noise matrix",

@@ -215,7 +215,7 @@ class TestSplit:
     )
     def test_fraction_not_positive_rejected(self, fractions):
         ds = nl.synth_dataset(k=2, n=100, margin=1.0, seed=0)
-        with pytest.raises(ConfigError, match="split fractions must be > 0"):
+        with pytest.raises(ConfigError, match=r"^fractions must be > 0, got "):
             nl.split(ds, *fractions)
 
     @given(seed=st.integers(0, 2**32 - 1))

@@ -14,7 +14,9 @@ from noisylab.model import (
     CrossEntropy,
     Params,
     SmoothedCrossEntropy,
+    _compressed,
     _forward_batch,
+    _take_rows,
     accuracy,
     load_checkpoint,
     save_checkpoint,
@@ -325,6 +327,72 @@ def test_first_layer_rows_equal_first_layer_of_rows(arch, data, n, dims, k, hidd
     probs, A_sel = _forward_batch(p, X[sel])
     assert A[sel].tobytes() == A_sel.tobytes()
     assert _forward_batch(p, X[sel], A[sel])[0].tobytes() == probs.tobytes()
+
+
+# An axis past int32's range makes scipy's constructors keep int64 indices.
+_WIDE = 2**31 + 7
+
+
+@st.composite
+def _canonical_arrays(draw, min_lines=0):
+    """``(data, indices, indptr, minor)``: compressed arrays in canonical form,
+    each line's indices ascending and distinct in ``[0, minor)``, in the index
+    dtype scipy's constructors keep for them: int64 when there are lines and
+    ``minor`` is past int32's range, else int32. Some draws hold only empty
+    lines."""
+    wide = draw(st.booleans())
+    minor = _WIDE if wide else draw(st.integers(1, 10))
+    size = draw(st.sampled_from([0, 5]))  # 0: every line is empty
+    lines = draw(st.lists(st.sets(st.integers(0, minor - 1), max_size=size).map(sorted),
+                          min_size=min_lines, max_size=12))
+    dtype = np.int64 if wide and lines else np.int32
+    indices = np.array([c for line in lines for c in line], dtype=dtype)
+    data = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(indices), max_size=len(indices)))
+    indptr = np.cumsum([0] + [len(line) for line in lines]).astype(dtype)
+    return np.array(data, dtype=np.float64), indices, indptr, minor
+
+
+def _assert_same_object(got, want):
+    """The same class and instance state, and equal arrays of equal dtypes."""
+    assert type(got) is type(want) and got.shape == want.shape
+    assert vars(got).keys() == vars(want).keys()
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
+@pytest.mark.parametrize("cls", [sp.csr_matrix, sp.csc_array], ids=["csr_matrix", "csc_array"])
+@given(arrays=_canonical_arrays(), seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_compressed_is_the_constructors_object(cls, arrays, seed):
+    """``_compressed`` builds what the checked constructor builds from the same
+    canonical arrays, and the product over it gives the same bits. A dense
+    operand or product along an axis past int32's range would not fit in
+    memory, so wide draws check everything but the product."""
+    data, indices, indptr, minor = arrays
+    lines = len(indptr) - 1
+    shape = (lines, minor) if cls is sp.csr_matrix else (minor, lines)
+    got = _compressed(cls, data, indices, indptr, shape)
+    want = cls((data, indices, indptr), shape=shape)
+    _assert_same_object(got, want)
+    assert got.has_canonical_format and want.has_canonical_format
+    if minor < _WIDE:
+        dense = np.random.default_rng(seed).standard_normal((shape[1], 3))
+        assert (got @ dense).tobytes() == (want @ dense).tobytes()
+
+
+@given(arrays=_canonical_arrays(min_lines=1), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_take_rows_is_scipy_row_indexing(arrays, data):
+    """``_take_rows(X, sel)`` is ``X[sel]``, array for array, for an epoch's
+    full permutation and for a nonempty sorted subset as ``coteach_select``
+    returns."""
+    entries, indices, indptr, minor = arrays
+    X = sp.csr_matrix((entries, indices, indptr), shape=(len(indptr) - 1, minor))
+    rows = range(X.shape[0])
+    sel = data.draw(st.one_of(st.permutations(rows), st.sets(st.sampled_from(rows), min_size=1).map(sorted)))
+    sel = np.array(sel, dtype=np.intp)
+    _assert_same_object(_take_rows(X, sel), X[sel])
 
 
 class TestEvaluate:

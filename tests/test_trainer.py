@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._compressed import _cs_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisylab as nl
-from noisylab import trainer
+from noisylab import model, trainer
 from noisylab.errors import ConfigError
 from noisylab.model import accuracy
 from conftest import keyword_corpus, with_noise
@@ -115,6 +116,35 @@ class TestTrain:
             assert a.arrays().keys() == b.arrays().keys()
             for name, arr in a.arrays().items():
                 assert arr.tobytes() == b.arrays()[name].tobytes(), name
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize(
+        "strategy", [nl.Vanilla(), nl.CoTeaching(eps=0.4, ramp_epochs=2), nl.NMwR(lam=1e-3)],
+        ids=["vanilla", "coteaching", "nmwr"],
+    )
+    def test_constructs_no_sparse_object(self, small_noisy_splits, monkeypatch, strategy, arch):
+        """Batches, their transposes and co-teaching's selections are built
+        from arrays: no step runs scipy's checked constructor, and each object
+        has the training matrix's index dtype in both index arrays."""
+        built, index_dtypes = [], set()
+        init, compressed = _cs_matrix.__init__, model._compressed
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        def noted(cls, data, indices, indptr, shape):
+            index_dtypes.add((indices.dtype, indptr.dtype))
+            return compressed(cls, data, indices, indptr, shape)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counted)
+        monkeypatch.setattr(model, "_compressed", noted)
+        monkeypatch.setattr(trainer, "_compressed", noted)
+        rec, _, _ = nl.train(*small_noisy_splits, strategy, _cfg(max_epochs=2, arch=arch, hidden=8))
+        assert rec.final_step == 2 * 10 and built == []
+        assert index_dtypes == {(small_noisy_splits[0].X.indices.dtype,) * 2}
+        sp.csr_matrix((2, 2))  # the wrapper sees a constructor call
+        assert built == ["csr_matrix"]
 
     def test_nmwr_runs(self, small_noisy_splits):
         tr, va, te = small_noisy_splits
@@ -280,6 +310,6 @@ def test_batch_view_is_the_row_slice(n, bounds, seed):
     X = sp.random(n, 50, density=rng.random(), format="csr", random_state=rng)
     start, stop = min(min(bounds), n - 1), max(bounds)
     got, want = trainer._row_slice(X, start, stop), X[start:stop]
-    assert got.shape == want.shape
+    assert type(got) is type(want) and got.shape == want.shape
     for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
-        assert a.tolist() == b.tolist()
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
