@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .data import Dataset, feature_matrix
 from .errors import ConfigError, NumericError, ParseError
@@ -19,7 +20,6 @@ from .errors import ConfigError, NumericError, ParseError
 PROB_CLAMP = 1e-12
 INIT_SCALE = 0.05
 ARCHS = ("linear", "mlp")
-_MAXPRINT = sp.csr_matrix((0, 0)).maxprint  # the print limit scipy's constructors set
 
 
 @dataclass(frozen=True)
@@ -83,29 +83,60 @@ def _uniform_rows(rng, rows, dims: int, width: int) -> np.ndarray:
     return out
 
 
-def softmax(Z: np.ndarray) -> np.ndarray:
-    """Numerically stable row-wise softmax (max subtraction)."""
-    Z = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
+def softmax(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable row-wise softmax (max subtraction), into ``out``
+    when given; ``out`` may be ``Z``."""
+    out = np.subtract(Z, Z.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
-def _forward_batch(p: Params, X: sp.csr_matrix, A=None):
+class CSRArrays(NamedTuple):
+    """A CSR matrix as its arrays, under scipy's attribute names. These four
+    are all that ``_forward_batch``, ``step`` and ``accuracy`` read of a
+    matrix, so a scipy CSR matrix serves them as well."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def _matvecs(kernel, indptr, indices, data, shape, dense: np.ndarray) -> np.ndarray:
+    """``S @ dense`` for the ``shape`` CSR (``kernel`` ``csr_matvecs``) or CSC
+    (``csc_matvecs``) matrix S over these arrays: the kernel scipy's ``@``
+    runs, into a zeroed output of the dtype scipy's ``_matmul_multivector``
+    gives it, so the product has ``@``'s bits."""
+    m, n = shape
+    if dense.ndim != 2 or dense.shape[0] != n:  # the kernel reads n rows of dense
+        raise ValueError(f"dimension mismatch: {shape} @ {dense.shape}")
+    out = np.zeros((m, dense.shape[1]), dtype=np.result_type(data, dense))
+    kernel(m, n, dense.shape[1], indptr, indices, data, dense.ravel(), out.ravel())
+    return out
+
+
+def _forward_batch(p: Params, X, A=None):
     """Returns (probs, A), where A is the first layer's output: a linear
-    model's logits or an MLP's hidden activations. Each row of A depends only
-    on that row of X, so a caller that ran the batch may pass rows of its A
-    for those rows of X; only the layers after it run again. Rows of an MLP's
+    model's logits or an MLP's hidden activations. ``X`` is a CSR matrix or
+    ``CSRArrays``. Each row of A depends only on that row of X, so a caller
+    that ran the batch may pass rows of its A for those rows of X; only the
+    layers after it run again, and they leave A as it is. Rows of an MLP's
     output layer are not: BLAS may round a row differently in another batch."""
     if A is None:
+        if getattr(X, "format", "csr") != "csr":  # the kernel reads its arrays as CSR
+            raise ConfigError(f"features must be a CSR matrix, got {X.format}")
         if X.shape[1] != p.w1.shape[0]:
             raise ConfigError(f"input dims {X.shape[1]} != model dims {p.w1.shape[0]}")
-        A = X @ p.w1 + p.b1
+        A = _matvecs(csr_matvecs, X.indptr, X.indices, X.data, X.shape, p.w1)
+        A += p.b1
         if p.w2 is not None:
-            A = np.tanh(A)
-    Z = A if p.w2 is None else A @ p.w2 + p.b2
+            np.tanh(A, out=A)
+    # The softmax overwrites Z; a linear model's Z is a copy, so A keeps the logits.
+    Z = A.copy() if p.w2 is None else A @ p.w2 + p.b2
     if not np.isfinite(Z).all():
         raise NumericError("non-finite activation in forward pass")
-    return softmax(Z), A
+    return softmax(Z, out=Z), A
 
 
 def predict_probs(p: Params, ds: Dataset) -> np.ndarray:
@@ -143,65 +174,62 @@ class SmoothedCrossEntropy:
         return losses, probs - T
 
 
-def _compressed(cls, data, indices, indptr, shape):
-    """A ``cls`` (a scipy CSR or CSC class) over ``data``, ``indices`` and
-    ``indptr`` as they are, for arrays already in the canonical form and index
-    dtype that its constructor would keep: the same object, minus the
-    constructor's checks and copies."""
-    X = cls.__new__(cls)
-    X.data, X.indices, X.indptr, X._shape, X.maxprint = data, indices, indptr, shape, _MAXPRINT
-    return X
-
-
-def _take_rows(X, sel):
+def _take_rows(X, sel) -> CSRArrays:
     """Rows ``sel`` of a CSR matrix, as ``X[sel]`` holds them, by one gather:
     the new row i's entries are the old row sel[i]'s, shifted to its start."""
     lens = np.diff(X.indptr)[sel]
     indptr = np.zeros(len(lens) + 1, dtype=X.indptr.dtype)
     np.cumsum(lens, out=indptr[1:])
     at = np.repeat(X.indptr[sel] - indptr[:-1], lens) + np.arange(indptr[-1], dtype=indptr.dtype)
-    return _compressed(type(X), X.data[at], X.indices[at], indptr, (len(lens), X.shape[1]))
+    return CSRArrays(X.data[at], X.indices[at], indptr, (len(lens), X.shape[1]))
 
 
-def step(p: Params, X: sp.csr_matrix, labels: np.ndarray, lr: float, loss_fn, forward=None) -> float:
-    """One SGD step on the mean batch loss. Updates ``p``'s arrays in place,
-    touching only the ``w1`` rows of the batch's feature columns, and returns
-    the mean loss. ``forward`` is the first layer's output on ``X`` under
-    ``p`` (``_forward_batch``'s A) when the caller already has it. On
-    ``NumericError`` ``p`` is left unchanged."""
+def step(p: Params, X, labels: np.ndarray, lr: float, loss_fn, forward=None) -> float:
+    """One SGD step on the mean batch loss over a CSR matrix or ``CSRArrays``
+    ``X``. Updates ``p``'s arrays in place, touching only the ``w1`` rows of
+    the batch's feature columns, and returns the mean loss. ``forward`` is the
+    first layer's output on ``X`` under ``p`` (``_forward_batch``'s A) when the
+    caller already has it; ``step`` overwrites it. The gradient that
+    ``loss_fn.per_sample`` returns is divided in place. On ``NumericError``
+    ``p`` is left unchanged."""
     n, dims = X.shape
     probs, H = _forward_batch(p, X, forward)
-    losses, dlogits = loss_fn.per_sample(probs, labels)
-    dZ = dlogits / n
-    # The batch's transpose over its own columns only: the same entries in the
-    # same order as X.T, so each touched row's gradient sums bitwise as X.T's.
-    # The columns come ascending from a marker over the model's rows.
+    losses, dZ = loss_fn.per_sample(probs, labels)
+    dZ /= n
+    # The batch's transpose over its own columns only, as CSC arrays: the same
+    # entries in the same order as X.T, so each touched row's gradient sums
+    # bitwise as X.T's. The columns come ascending from a marker over the rows.
     seen = np.zeros(dims, dtype=bool)
     seen[X.indices] = True
     cols = np.flatnonzero(seen)
     position = np.empty(dims, dtype=X.indices.dtype)
     position[cols] = np.arange(len(cols))
-    XcT = _compressed(sp.csc_array, X.data, position[X.indices], X.indptr, (len(cols), n))
+    XcT = (X.indptr, position[X.indices], X.data, (len(cols), n))
     if p.w2 is None:
-        grads = {"w1": XcT @ dZ, "b1": dZ.sum(axis=0)}
+        grads = [_matvecs(csc_matvecs, *XcT, dZ), dZ.sum(axis=0)]
     else:
-        dZ1 = (dZ @ p.w2.T) * (1.0 - H * H)
-        grads = {"w1": XcT @ dZ1, "b1": dZ1.sum(axis=0), "w2": H.T @ dZ, "b2": dZ.sum(axis=0)}
-    for name, g in grads.items():
+        dZ1 = dZ @ p.w2.T
+        dw2 = H.T @ dZ  # before H becomes tanh's derivative, 1 - H * H
+        H *= H
+        np.subtract(1.0, H, out=H)
+        dZ1 *= H
+        grads = [_matvecs(csc_matvecs, *XcT, dZ1), dZ1.sum(axis=0), dw2, dZ.sum(axis=0)]
+    blocks = p.arrays()  # by name, in the order of grads
+    for name, g in zip(blocks, grads):
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in parameter block {name}")
         g *= lr
     rows = p.w1.take(cols, axis=0)  # the touched rows: gathered, updated, scattered back
-    rows -= grads.pop("w1")
+    rows -= grads[0]
     p.w1[cols] = rows
-    for name, g in grads.items():
-        getattr(p, name)[...] -= g
+    for a, g in zip(list(blocks.values())[1:], grads[1:]):
+        a -= g
     if hasattr(loss_fn, "sgd_update"):
         loss_fn.sgd_update(lr)
-    return float(np.mean(losses))
+    return float(losses.sum() / len(losses))  # np.mean's bits
 
 
-def accuracy(p: Params, X: sp.csr_matrix, labels: np.ndarray) -> float:
+def accuracy(p: Params, X, labels: np.ndarray) -> float:
     """Share of rows whose argmax prediction is the label; argmax ties break
     to the lowest class index."""
     probs, _ = _forward_batch(p, X)

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import Dataset, feature_matrix
 from .errors import ConfigError
-from .model import ARCHS, Params, _compressed, _forward_batch, _take_rows, accuracy, init_params, step
+from .model import ARCHS, CSRArrays, Params, _forward_batch, _take_rows, accuracy, init_params, step
 from .strategies import CoTeaching, NoValidation, Strategy, coteach_select, keep_fraction
 
 
@@ -94,11 +93,11 @@ class RunRecord:
         }
 
 
-def _row_slice(X: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
+def _row_slice(X, start: int, stop: int) -> CSRArrays:
     """Rows ``start:stop`` of a CSR matrix, as views of its data and indices."""
     indptr = X.indptr[start : stop + 1]
     a, b = indptr[0], indptr[-1]
-    return _compressed(type(X), X.data[a:b], X.indices[a:b], indptr - a, (len(indptr) - 1, X.shape[1]))
+    return CSRArrays(X.data[a:b], X.indices[a:b], indptr - a, (len(indptr) - 1, X.shape[1]))
 
 
 def train(

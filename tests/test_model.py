@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 import noisylab as nl
 from noisylab.errors import ConfigError, NumericError, ParseError
@@ -14,8 +15,8 @@ from noisylab.model import (
     CrossEntropy,
     Params,
     SmoothedCrossEntropy,
-    _compressed,
     _forward_batch,
+    _matvecs,
     _take_rows,
     accuracy,
     load_checkpoint,
@@ -102,6 +103,14 @@ class TestForward:
         p = nl.init_params(8, 3, seed=1)
         with pytest.raises(ConfigError, match="input dims 5 != model dims 8"):
             _probs(p, np.ones(5))
+
+    def test_csc_features_rejected(self):
+        """The forward pass reads a matrix's arrays as CSR, so another sparse
+        format is refused rather than misread."""
+        X = sp.csr_matrix(np.eye(3))
+        p = nl.init_params(3, 2, seed=1)
+        with pytest.raises(ConfigError, match="features must be a CSR matrix, got csc"):
+            accuracy(p, X.tocsc(), np.zeros(3, dtype=int))
 
     def test_class_permutation_equivariance(self):
         rng = np.random.default_rng(3)
@@ -334,65 +343,99 @@ _WIDE = 2**31 + 7
 
 
 @st.composite
-def _canonical_arrays(draw, min_lines=0):
+def _canonical_arrays(draw):
     """``(data, indices, indptr, minor)``: compressed arrays in canonical form,
-    each line's indices ascending and distinct in ``[0, minor)``, in the index
-    dtype scipy's constructors keep for them: int64 when there are lines and
-    ``minor`` is past int32's range, else int32. Some draws hold only empty
-    lines."""
+    at least one line, each line's indices ascending and distinct in
+    ``[0, minor)``, in the index dtype scipy's constructors keep for them:
+    int64 when ``minor`` is past int32's range, else int32. Some draws hold
+    only empty lines."""
     wide = draw(st.booleans())
     minor = _WIDE if wide else draw(st.integers(1, 10))
     size = draw(st.sampled_from([0, 5]))  # 0: every line is empty
     lines = draw(st.lists(st.sets(st.integers(0, minor - 1), max_size=size).map(sorted),
-                          min_size=min_lines, max_size=12))
-    dtype = np.int64 if wide and lines else np.int32
+                          min_size=1, max_size=12))
+    dtype = np.int64 if wide else np.int32
     indices = np.array([c for line in lines for c in line], dtype=dtype)
     data = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(indices), max_size=len(indices)))
     indptr = np.cumsum([0] + [len(line) for line in lines]).astype(dtype)
     return np.array(data, dtype=np.float64), indices, indptr, minor
 
 
-def _assert_same_object(got, want):
-    """The same class and instance state, and equal arrays of equal dtypes."""
-    assert type(got) is type(want) and got.shape == want.shape
-    assert vars(got).keys() == vars(want).keys()
+def _assert_same_arrays(got, want):
+    """The same shape, and equal arrays of equal dtypes."""
+    assert got.shape == want.shape
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
 
 
-@pytest.mark.parametrize("cls", [sp.csr_matrix, sp.csc_array], ids=["csr_matrix", "csc_array"])
-@given(arrays=_canonical_arrays(), seed=st.integers(0, 2**16))
-@settings(max_examples=100, deadline=None)
-def test_compressed_is_the_constructors_object(cls, arrays, seed):
-    """``_compressed`` builds what the checked constructor builds from the same
-    canonical arrays, and the product over it gives the same bits. A dense
-    operand or product along an axis past int32's range would not fit in
-    memory, so wide draws check everything but the product."""
-    data, indices, indptr, minor = arrays
-    lines = len(indptr) - 1
-    shape = (lines, minor) if cls is sp.csr_matrix else (minor, lines)
-    got = _compressed(cls, data, indices, indptr, shape)
-    want = cls((data, indices, indptr), shape=shape)
-    _assert_same_object(got, want)
-    assert got.has_canonical_format and want.has_canonical_format
-    if minor < _WIDE:
-        dense = np.random.default_rng(seed).standard_normal((shape[1], 3))
-        assert (got @ dense).tobytes() == (want @ dense).tobytes()
+@given(data=st.data(), n=st.integers(0, 8), dims=st.integers(1, 8), width=st.integers(1, 4),
+       wide=st.booleans(), dtype=st.sampled_from([np.float64, np.float32, np.int64]),
+       dense_dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_matvecs_is_scipy_matmul(data, n, dims, width, wide, dtype, dense_dtype, seed):
+    """``_matvecs`` gives ``@``'s dtype and bytes for the forward product
+    ``X @ dense`` and for ``step``'s column-restricted transpose, with int32
+    or int64 index arrays, one dense column (which ``@`` hands to
+    ``csr_matvec``) or several, empty rows, duplicate column entries, and
+    float or integer data."""
+    rows = [data.draw(st.lists(st.integers(0, dims - 1), max_size=5)) for _ in range(n)]
+    indices = np.array([c for row in rows for c in row], dtype=np.int32)
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int32)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-3, 4, len(indices)) if dtype is np.int64 else rng.uniform(-2, 2, len(indices))
+    X = sp.csr_matrix((values.astype(dtype), indices, indptr), shape=(n, dims))
+    if wide:
+        indices, indptr = indices.astype(np.int64), indptr.astype(np.int64)
+    dense = rng.standard_normal((dims, width)).astype(dense_dtype)
+    got = _matvecs(csr_matvecs, indptr, indices, X.data, X.shape, dense)
+    assert got.dtype == (X @ dense).dtype and got.tobytes() == (X @ dense).tobytes()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _matvecs(csr_matvecs, indptr, indices, X.data, X.shape, dense[1:])
+    # step's transpose over the used columns, numbered in ascending order
+    cols = np.unique(indices)
+    position = np.empty(dims, dtype=indices.dtype)
+    position[cols] = np.arange(len(cols))
+    XcT = sp.csc_matrix((X.data, position[indices], indptr), shape=(len(cols), n))
+    dense = rng.standard_normal((n, width)).astype(dense_dtype)
+    got = _matvecs(csc_matvecs, indptr, position[indices], X.data, XcT.shape, dense)
+    assert got.dtype == (XcT @ dense).dtype and got.tobytes() == (XcT @ dense).tobytes()
 
 
-@given(arrays=_canonical_arrays(min_lines=1), data=st.data())
+@given(arrays=_canonical_arrays(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_take_rows_is_scipy_row_indexing(arrays, data):
-    """``_take_rows(X, sel)`` is ``X[sel]``, array for array, for an epoch's
-    full permutation and for a nonempty sorted subset as ``coteach_select``
-    returns."""
+    """``_take_rows(X, sel)`` holds ``X[sel]``'s arrays, dtypes and shape, for
+    an epoch's full permutation and for a nonempty sorted subset as
+    ``coteach_select`` returns."""
     entries, indices, indptr, minor = arrays
     X = sp.csr_matrix((entries, indices, indptr), shape=(len(indptr) - 1, minor))
     rows = range(X.shape[0])
     sel = data.draw(st.one_of(st.permutations(rows), st.sets(st.sampled_from(rows), min_size=1).map(sorted)))
     sel = np.array(sel, dtype=np.intp)
-    _assert_same_object(_take_rows(X, sel), X[sel])
+    _assert_same_arrays(_take_rows(X, sel), X[sel])
+
+
+@given(batch=_sparse_batches(), seed=st.integers(0, 2**16))
+@settings(max_examples=50, deadline=None)
+def test_linear_forward_leaves_its_logits(batch, seed):
+    """A linear model's softmax runs in place on a copy: the A that
+    ``_forward_batch`` returns still holds ``X @ w1 + b1``, as co-teaching
+    reuses it."""
+    X, _, _, k = batch
+    p = nl.init_params(X.shape[1], k, seed)
+    probs, A = _forward_batch(p, X)
+    assert A.tobytes() == (X @ p.w1 + p.b1).tobytes()
+    assert not np.shares_memory(probs, A)
+
+
+@pytest.mark.parametrize("loss", sorted(_LOSSES))
+def test_per_sample_gradient_is_its_own_array(loss):
+    """``step`` divides ``per_sample``'s gradient in place, so it must not be
+    a view of ``probs``."""
+    probs = softmax(np.random.default_rng(5).normal(size=(6, 3)))
+    _, dlogits = _LOSSES[loss](3).per_sample(probs, np.array([0, 1, 2, 0, 1, 2]))
+    assert not np.shares_memory(dlogits, probs)
 
 
 class TestEvaluate:

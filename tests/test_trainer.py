@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._base import _spbase
 from scipy.sparse._compressed import _cs_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,28 +124,33 @@ class TestTrain:
         ids=["vanilla", "coteaching", "nmwr"],
     )
     def test_constructs_no_sparse_object(self, small_noisy_splits, monkeypatch, strategy, arch):
-        """Batches, their transposes and co-teaching's selections are built
-        from arrays: no step runs scipy's checked constructor, and each object
-        has the training matrix's index dtype in both index arrays."""
-        built, index_dtypes = [], set()
-        init, compressed = _cs_matrix.__init__, model._compressed
+        """Batches, their transposes and co-teaching's selections are arrays:
+        ``train`` runs no scipy constructor and no ``@`` on a sparse object,
+        and every product it runs has the training matrix's index dtype in
+        both index arrays."""
+        calls, index_dtypes = [], set()
+        init, matmul, matvecs = _cs_matrix.__init__, _spbase.__matmul__, model._matvecs
 
-        def counted(self, *args, **kwargs):
-            built.append(type(self).__name__)
+        def counted_init(self, *args, **kwargs):
+            calls.append("__init__")
             init(self, *args, **kwargs)
 
-        def noted(cls, data, indices, indptr, shape):
-            index_dtypes.add((indices.dtype, indptr.dtype))
-            return compressed(cls, data, indices, indptr, shape)
+        def counted_matmul(self, other):
+            calls.append("__matmul__")
+            return matmul(self, other)
 
-        monkeypatch.setattr(_cs_matrix, "__init__", counted)
-        monkeypatch.setattr(model, "_compressed", noted)
-        monkeypatch.setattr(trainer, "_compressed", noted)
+        def noted(kernel, indptr, indices, data, shape, dense):
+            index_dtypes.add((indices.dtype, indptr.dtype))
+            return matvecs(kernel, indptr, indices, data, shape, dense)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counted_init)
+        monkeypatch.setattr(_spbase, "__matmul__", counted_matmul)
+        monkeypatch.setattr(model, "_matvecs", noted)
         rec, _, _ = nl.train(*small_noisy_splits, strategy, _cfg(max_epochs=2, arch=arch, hidden=8))
-        assert rec.final_step == 2 * 10 and built == []
+        assert rec.final_step == 2 * 10 and calls == []
         assert index_dtypes == {(small_noisy_splits[0].X.indices.dtype,) * 2}
-        sp.csr_matrix((2, 2))  # the wrapper sees a constructor call
-        assert built == ["csr_matrix"]
+        sp.csr_matrix((2, 2)) @ np.ones((2, 2))  # the wrappers see both calls
+        assert calls == ["__init__", "__matmul__"]
 
     def test_nmwr_runs(self, small_noisy_splits):
         tr, va, te = small_noisy_splits
@@ -305,11 +311,12 @@ class TestRunRecordIO:
 @given(n=st.integers(1, 40), bounds=st.tuples(st.integers(0, 45), st.integers(0, 45)), seed=st.integers(0, 2**16))
 @settings(max_examples=100, deadline=None)
 def test_batch_view_is_the_row_slice(n, bounds, seed):
-    """A batch holds ``X[start:stop]``'s entries, in their order."""
+    """A batch holds ``X[start:stop]``'s arrays, in their order, with their
+    dtypes and shape."""
     rng = np.random.default_rng(seed)
     X = sp.random(n, 50, density=rng.random(), format="csr", random_state=rng)
     start, stop = min(min(bounds), n - 1), max(bounds)
     got, want = trainer._row_slice(X, start, stop), X[start:stop]
-    assert type(got) is type(want) and got.shape == want.shape
+    assert got.shape == want.shape
     for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
