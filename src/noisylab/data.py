@@ -290,7 +290,10 @@ def synth_dataset(
     example additionally activates a few random indices with weights scaled by
     (1 - margin). At margin=1 examples equal their prototypes and the data is
     linearly separable. Vectors are L2-normalized; clean labels are balanced.
-    Only the per-example draws loop over examples; the rows are built as arrays.
+    Each example's extras are a ``choice`` of ``noise_size`` of the ``dims``
+    indices without replacement, then ``noise_size`` weights from ``random``;
+    ``_noise_draws`` gives all examples' draws, byte for byte, from one bulk
+    draw. The rows are built as arrays.
     """
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
@@ -300,6 +303,10 @@ def synth_dataset(
         raise ConfigError(f"need n >= k, got n={n}, k={k}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    if proto_size < 0:
+        raise ConfigError(f"proto_size must be >= 0, got {proto_size}")
+    if not 0 <= noise_size <= dims:
+        raise ConfigError(f"noise_size must be in [0, dims={dims}], got {noise_size}")
     if dims < 2 * k * proto_size:
         raise ConfigError("dims too small for the requested prototypes")
     if 8 * max(n, dims, n * (proto_size + noise_size)) > np.iinfo(np.intp).max:
@@ -307,11 +314,7 @@ def synth_dataset(
     rng = np.random.default_rng(seed)
     protos = rng.permutation(dims)[: k * proto_size].reshape(k, proto_size)
     labels = rng.permuted(np.arange(n) % k)
-    extra_idx = np.empty((n, noise_size), dtype=np.int64)
-    extra_w = np.empty((n, noise_size))
-    for i in range(n):  # a choice without replacement takes a varying number of raw draws
-        extra_idx[i] = rng.choice(dims, size=noise_size, replace=False)
-        extra_w[i] = rng.random(noise_size)
+    extra_idx, extra_w = _noise_draws(rng, n, dims, noise_size)
     extra_w *= 1.0 - margin
     # Each row in insertion order: its prototype columns with weight 1, then its
     # extras. An extra on a prototype column adds to it and leaves 0 in its slot.
@@ -336,6 +339,115 @@ def synth_dataset(
         clean_labels=labels.astype(np.int64),
         X=X,
     )
+
+
+def _noise_draws(rng: np.random.Generator, n: int, dims: int, size: int):
+    """The (n, size) indices and weights of ``n`` rows that each call
+    ``rng.choice(dims, size, replace=False)`` then ``rng.random(size)``, with
+    ``rng`` left as those calls leave it. ``0 <= size <= dims`` and ``rng``
+    is a PCG64 generator.
+
+    One ``random_raw`` call, then array passes that replay numpy 2's
+    algorithm on the raw outputs. ``choice`` picks by Floyd's algorithm: for
+    j from dims - size to dims - 1 it draws a value in [0, j] and takes j if
+    the row holds that value already. It then shuffles the row by
+    Fisher-Yates, drawing in [0, i] for i from size - 1 down to 1. A draw in
+    [0, b] is Lemire's: a 32-bit half of a raw output times b + 1, shifted
+    right 32 bits. The low half serves first; the high half is kept in
+    ``has_uint32``/``uinteger`` for the next draw, in this row or the next.
+    A draw in [0, 0] takes nothing. Each weight takes a whole raw output as
+    ``(raw >> 11) * 2**-53``.
+
+    Lemire draws again when the product's low 32 bits fall below
+    2**32 mod (b + 1). numpy shuffles the tail of an arange instead when
+    dims > 10000 and size > dims // 50, and draws 64 bits for b >= 2**32
+    (b = 2**32 - 1 takes a half as it is, as the product does). Those inputs
+    run the calls row by row, from the state the replay found.
+    """
+    if dims > 2**32 or (dims > 10000 and size > dims // 50):
+        return _noise_loop(rng, n, dims, size)
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    buffered = saved["has_uint32"]
+    floyd = np.arange(max(dims - size, 1), dims, dtype=np.uint64)  # a first j of 0 draws nothing
+    spans = np.concatenate([floyd, np.arange(size - 1, 0, -1, dtype=np.uint64)]) + np.uint64(1)
+    per_row = len(spans)
+    draws = n * per_row
+    # Row i's raw outputs: those whose low half its draws take, then its weights.
+    halves_before = (np.arange(n + 1) * per_row - buffered + 1) // 2
+    counts = np.column_stack([np.diff(halves_before), np.full(n, size)]).ravel()
+    is_weight = np.repeat(np.tile([False, True], n), counts)
+    # The results are allocated before the temporaries, so that they do not
+    # sit between the blocks the temporaries free.
+    idx = np.empty((n, size), dtype=np.int64)
+    weights = np.empty((n, size))
+    raw = bitgen.random_raw(halves_before[-1] + n * size)
+    bits = raw[is_weight]
+    bits >>= 11
+    np.multiply(bits, 2.0**-53, out=weights.reshape(-1))
+    del bits
+    raw = raw[~is_weight]
+    halves = np.empty(buffered + 2 * len(raw), dtype=np.uint64)  # each below 2**32
+    halves[:buffered] = saved["uinteger"]
+    halves[buffered::2] = raw
+    halves[buffered::2] &= 0xFFFFFFFF
+    raw >>= 32
+    halves[buffered + 1 :: 2] = raw
+    del raw, is_weight
+    last = int(halves[-1]) if len(halves) else saved["uinteger"]  # before the product overwrites it
+    product = halves[:draws].reshape(n, per_row)
+    product *= spans
+    if (product.astype(np.uint32) < 2**32 % spans).any():  # a rejection: Lemire draws again
+        bitgen.state = saved
+        return _noise_loop(rng, n, dims, size)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = len(halves) - draws, last
+    bitgen.state = state
+    product >>= 32
+    picks = product.astype(np.uint32)
+    del halves, product
+    # Floyd: step p draws v_p in [0, base + p]. v_p is held already when an
+    # earlier step drew it, or when it is base + q for an earlier step q that
+    # took its own j; follow those links by pointer jumping.
+    base = dims - size
+    steps = np.arange(size)
+    idx[:, : size - len(floyd)] = 0
+    idx[:, size - len(floyd) :] = picks[:, : len(floyd)]
+    order = np.argsort(idx, axis=1, kind="stable")
+    ranked = np.take_along_axis(idx, order, 1)
+    held_already = np.zeros((n, size), dtype=bool)
+    np.put_along_axis(held_already, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], 1)
+    del order, ranked
+    starts = np.arange(n) * size
+    link = idx - base
+    linked = (link >= 0) & (link < steps)
+    np.copyto(link, steps, where=~linked)  # an unlinked step links to itself
+    link += starts[:, None]
+    link = link.ravel()  # flat positions
+    nodes = np.flatnonzero(linked)
+    del linked
+    flat_held = held_already.ravel()
+    for _ in range((size - 1).bit_length()):
+        flat_held[nodes] |= flat_held[link[nodes]]
+        link[nodes] = link[link[nodes]]
+    np.copyto(idx, base + steps, where=held_already)
+    del link, held_already
+    # Fisher-Yates, one step for every row at a time.
+    flat = idx.ravel()
+    for col, i in enumerate(range(size - 1, 0, -1), len(floyd)):
+        a, b = starts + picks[:, col], starts + i
+        flat[a], flat[b] = flat[b], flat[a]
+    return idx, weights
+
+
+def _noise_loop(rng: np.random.Generator, n: int, dims: int, size: int):
+    """``_noise_draws`` by numpy's own calls, one row at a time."""
+    idx = np.empty((n, size), dtype=np.int64)
+    weights = np.empty((n, size))
+    for i in range(n):
+        idx[i] = rng.choice(dims, size=size, replace=False)
+        weights[i] = rng.random(size)
+    return idx, weights
 
 
 def feature_matrix(ds: Dataset) -> sp.csr_matrix:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noisylab as nl
-from noisylab.data import feature_matrix, fnv1a_64, tokenize
+from noisylab import data
+from noisylab.data import _noise_draws, _noise_loop, feature_matrix, fnv1a_64, tokenize
 from noisylab.errors import ConfigError, ParseError
 from noisylab.model import accuracy
 
@@ -413,12 +415,27 @@ class TestSynthDataset:
     @given(args=_synth_args())
     @example(args=dict(k=4, n=4000, margin=0.7, seed=0))  # the README shape
     @example(args=dict(k=4, n=4000, margin=0.5, seed=11, noise_size=32))  # the acceptance fixture
+    @example(args=dict(k=2, n=30, margin=0.5, seed=3, dims=16, proto_size=4, noise_size=16))
+    @example(args=dict(k=2, n=5, margin=0.5, seed=0, dims=12000, noise_size=300))  # a tail shuffle
+    @example(args=dict(k=2, n=100, margin=0.5, seed=261, dims=10000))  # seed 261: Lemire rejects
     @settings(max_examples=100, deadline=None)
     def test_equals_the_dict_reference(self, args):
         ds = nl.synth_dataset(**args)
         labels, X = _synth_reference(**args)
         assert (ds.clean_labels.dtype, ds.clean_labels.tobytes()) == (labels.dtype, labels.tobytes())
         _assert_same_bytes(ds.X, X)
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            (dict(noise_size=2000), "noise_size must be in [0, dims=1024], got 2000"),
+            (dict(noise_size=-1), "noise_size must be in [0, dims=1024], got -1"),
+            (dict(proto_size=-1), "proto_size must be >= 0, got -1"),
+        ],
+    )
+    def test_rejects_bad_sizes(self, kwargs, expected):
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            nl.synth_dataset(k=4, n=50, margin=0.7, seed=0, **kwargs)
 
     def test_separable_at_margin_one(self):
         ds = nl.synth_dataset(k=2, n=100, margin=1.0, seed=3)
@@ -450,3 +467,63 @@ class TestSynthDataset:
         assert X.shape == (20, 128)
         norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
         assert np.allclose(norms, 1.0, atol=1e-9)
+
+
+def _noise_both_ways(seed, before, n, dims, size):
+    """Run ``_noise_draws`` and ``_noise_loop`` from equal generators, after the
+    ``integers``/``permutation`` draws named in ``before``; assert equal bytes
+    and equal states after. Returns the state the loop found each time
+    ``_noise_draws`` fell back to it, and the state ``_noise_draws`` started at."""
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (got_rng, ref_rng):
+        for name in before:  # each takes one 32-bit half, so the parity of the buffer varies
+            rng.integers(0, 10) if name == "integers" else rng.permutation(2)
+    start = got_rng.bit_generator.state
+    entered = []
+
+    def loop(rng, *args):
+        entered.append(rng.bit_generator.state)
+        return _noise_loop(rng, *args)
+
+    with mock.patch.object(data, "_noise_loop", loop):
+        idx, w = _noise_draws(got_rng, n, dims, size)
+    ref_idx, ref_w = _noise_loop(ref_rng, n, dims, size)
+    assert (idx.dtype, idx.shape, idx.tobytes()) == (ref_idx.dtype, ref_idx.shape, ref_idx.tobytes())
+    assert (w.dtype, w.shape, w.tobytes()) == (ref_w.dtype, ref_w.shape, ref_w.tobytes())
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state  # has_uint32 and uinteger too
+    return entered, start
+
+
+@st.composite
+def _noise_shapes(draw):
+    dims = draw(st.one_of(st.integers(1, 100), st.sampled_from([1024, 10000, 3 * 2**30, 2**32])))
+    return dict(n=draw(st.integers(0, 30)), dims=dims, size=draw(st.integers(0, min(dims, 40))))
+
+
+class TestNoiseDraws:
+    """``_noise_draws`` replays numpy's ``choice`` and ``random``; these tests
+    fail if a numpy release changes how those calls draw."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        before=st.lists(st.sampled_from(["integers", "permutation"]), max_size=3),
+        shape=_noise_shapes(),
+    )
+    @example(seed=0, before=[], shape=dict(n=3, dims=16, size=16))
+    @example(seed=0, before=["integers"], shape=dict(n=3, dims=16, size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_loop(self, seed, before, shape):
+        entered, start = _noise_both_ways(seed, before, **shape)
+        assert entered in ([], [start])  # a fallback restores the generator first
+
+    @pytest.mark.parametrize(
+        "n, dims, size",
+        [
+            (3, 3 * 2**30, 4),  # Lemire rejects about a quarter of draws over [0, ~3 * 2**30]
+            (2, 12000, 300),  # numpy shuffles the tail of an arange
+            (2, 2**32 + 1, 3),  # a bound of 2**32 draws 64 bits
+        ],
+    )
+    def test_the_loop_takes_what_the_replay_cannot(self, n, dims, size):
+        entered, start = _noise_both_ways(0, ["integers"], n, dims, size)
+        assert entered == [start]
