@@ -153,7 +153,7 @@ def _noise_from_config(noise):
 
         def corrupt(ds, offset=0):
             ds = noise_mod.inject_rules(ds, rules)
-            if not ds.examples:
+            if not len(ds):
                 raise ConfigError("rule noise matched nothing in a split and abstain_to_clean is false")
             return ds, noise_mod.matrix_from_pairs(ds.clean_labels, ds.noisy_labels, ds.k)
         return corrupt

@@ -1,8 +1,9 @@
 """Dataset containers, JSONL ingestion, splitting, and hashed text features.
 
-A Dataset carries examples with an optional pair of aligned label sequences:
-the true (clean) labels and the corrupted (noisy) labels. Features are one
-CSR matrix of sparse non-negative rows, built once either from hashed n-gram
+A Dataset holds its rows as columns: one id per row, one text per row (none
+for synthetic data), and an optional pair of aligned label sequences, the
+true (clean) labels and the corrupted (noisy) labels. Features are one CSR
+matrix of sparse non-negative rows, built once either from hashed n-gram
 counts over text or by the synthetic generator used in experiments. Hashed
 features can be compacted to the hash buckets the examples use.
 """
@@ -10,9 +11,12 @@ features can be compacted to the hash buckets the examples use.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +74,34 @@ class Example:
     text: str
 
 
+class _Examples(Sequence):
+    """Each row of a dataset as an ``Example``, made as it is read; a synthetic
+    row's text is empty."""
+
+    def __init__(self, ids: np.ndarray, texts: np.ndarray | None):
+        self._ids, self._texts = ids, texts
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i: int) -> Example:
+        i = operator.index(i)  # an int, not a slice
+        return Example(self._ids[i], "" if self._texts is None else self._texts[i])
+
+    def __iter__(self):
+        texts = itertools.repeat("") if self._texts is None else self._texts.tolist()
+        return itertools.starmap(Example, zip(self._ids.tolist(), texts))
+
+
 @dataclass(frozen=True)
 class Dataset:
-    examples: tuple[Example, ...]
+    """Rows as columns: ``ids`` holds one string per row and ``texts`` one
+    string per row, or is None for a synthetic dataset, whose rows have only
+    features. Both are stored as object arrays, which keep each string as it
+    is (a fixed-width string array drops trailing NULs)."""
+
+    ids: np.ndarray
+    texts: np.ndarray | None
     k: int
     clean_labels: np.ndarray | None = None
     noisy_labels: np.ndarray | None = None
@@ -87,7 +116,12 @@ class Dataset:
             raise ConfigError(f"k={self.k} is too large for a k x k noise matrix")
         if self.clean_labels is None and self.noisy_labels is None:
             raise ConfigError("dataset needs at least one label sequence")
-        n = len(self.examples)
+        object.__setattr__(self, "ids", np.asarray(self.ids, dtype=object))
+        n = len(self.ids)
+        if self.texts is not None:
+            object.__setattr__(self, "texts", np.asarray(self.texts, dtype=object))
+            if len(self.texts) != n:
+                raise ConfigError(f"texts has length {len(self.texts)}, expected {n}")
         for name in ("clean_labels", "noisy_labels"):
             labels = getattr(self, name)
             if labels is None:
@@ -100,16 +134,26 @@ class Dataset:
                 bad = int(np.argmax((labels < 0) | (labels >= self.k)))
                 raise ConfigError(
                     f"label {labels[bad]} out of range [0,{self.k}) "
-                    f"for example {self.examples[bad].id!r}"
+                    f"for example {self.ids[bad]!r}"
                 )
-        ids = [ex.id for ex in self.examples]
-        if len(set(ids)) != len(ids):
+        if len(set(self.ids.tolist())) != n:
             raise ConfigError("duplicate example ids in dataset")
         if self.X is not None and self.X.shape[0] != n:
             raise ConfigError(f"X has {self.X.shape[0]} rows, expected {n}")
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.ids)
+
+    @property
+    def examples(self) -> Sequence[Example]:
+        """A read-only view of the rows as ``Example``s, each made as it is read."""
+        return _Examples(self.ids, self.texts)
+
+    def text_list(self) -> list[str]:
+        """Each row's text; a synthetic dataset has none."""
+        if self.texts is None:
+            raise ConfigError("a synthetic dataset has no text")
+        return self.texts.tolist()
 
     @property
     def dims(self) -> int | None:
@@ -130,7 +174,8 @@ class Dataset:
         idx = np.asarray(idx)
         return dataclasses.replace(
             self,
-            examples=tuple(self.examples[i] for i in idx),
+            ids=self.ids[idx],
+            texts=None if self.texts is None else self.texts[idx],
             clean_labels=None if self.clean_labels is None else self.clean_labels[idx],
             noisy_labels=None if self.noisy_labels is None else self.noisy_labels[idx],
             X=None if self.X is None else self.X[idx],
@@ -161,7 +206,7 @@ def json_int(value, what: str) -> int:
 
 def load_jsonl(path, k: int) -> Dataset:
     """Read a JSONL dataset; each record has id, text, and >=1 label field."""
-    examples = []
+    ids, texts = [], []
     labels = {"clean_label": [], "noisy_label": []}
     for lineno, rec in read_jsonl(path):
         where = f"{path}: line {lineno}"
@@ -172,20 +217,22 @@ def load_jsonl(path, k: int) -> Dataset:
         for field, acc in labels.items():
             if field in rec:
                 acc.append(json_int(rec[field], f"{where}: {field}"))
-        examples.append(Example(id=str(rec["id"]), text=rec["text"]))
-    n = len(examples)
+        ids.append(str(rec["id"]))
+        texts.append(rec["text"])
+    n = len(ids)
     for field, acc in labels.items():
         if acc and len(acc) != n:
             raise ParseError(f"{path}: {field} present on only {len(acc)}/{n} lines")
     clean, noisy = (np.array(acc, dtype=np.int64) if acc else None for acc in labels.values())
-    return Dataset(examples=tuple(examples), k=k, clean_labels=clean, noisy_labels=noisy)
+    return Dataset(ids=ids, texts=texts, k=k, clean_labels=clean, noisy_labels=noisy)
 
 
 def write_jsonl(ds: Dataset, path) -> None:
     """Inverse of load_jsonl; key order id, text, clean_label, noisy_label."""
+    texts = ds.text_list()
     with open(path, "w", encoding="utf-8") as f:
-        for i, ex in enumerate(ds.examples):
-            rec = {"id": ex.id, "text": ex.text}
+        for i, (id_, text) in enumerate(zip(ds.ids.tolist(), texts)):
+            rec = {"id": id_, "text": text}
             if ds.clean_labels is not None:
                 rec["clean_label"] = int(ds.clean_labels[i])
             if ds.noisy_labels is not None:
@@ -230,10 +277,10 @@ def featurize(ds: Dataset, dims: int = 2**18) -> Dataset:
     n = len(ds)
     _check_width(dims, n, "dims")
     grams, per_row = [], []
-    for ex in ds.examples:
-        if not ex.text:
-            raise ConfigError(f"example {ex.id!r} has empty text")
-        toks = tokenize(ex.text)
+    for i, text in enumerate(ds.text_list()):
+        if not text:
+            raise ConfigError(f"example {ds.ids[i]!r} has empty text")
+        toks = tokenize(text)
         grams += toks
         grams += [f"{a} {b}" for a, b in zip(toks, toks[1:])]
         per_row.append(max(2 * len(toks) - 1, 0))
@@ -293,7 +340,10 @@ def synth_dataset(
     Each example's extras are a ``choice`` of ``noise_size`` of the ``dims``
     indices without replacement, then ``noise_size`` weights from ``random``;
     ``_noise_draws`` gives all examples' draws, byte for byte, from one bulk
-    draw. The rows are built as arrays.
+    draw. The rows are built as arrays: one table over the columns finds the
+    extras that land on their row's prototype, and one ``argsort`` puts each
+    row's columns in order. The ids are ``synth-0`` to ``synth-{n-1}``; the
+    dataset has no text.
     """
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
@@ -312,33 +362,52 @@ def synth_dataset(
     if 8 * max(n, dims, n * (proto_size + noise_size)) > np.iinfo(np.intp).max:
         raise ConfigError(f"n={n} with dims={dims} needs an array too large to allocate")
     rng = np.random.default_rng(seed)
-    protos = rng.permutation(dims)[: k * proto_size].reshape(k, proto_size)
+    protos = rng.permutation(dims)[: k * proto_size]  # class c's block is protos[c * proto_size:][:proto_size]
     labels = rng.permuted(np.arange(n) % k)
     extra_idx, extra_w = _noise_draws(rng, n, dims, noise_size)
     extra_w *= 1.0 - margin
     # Each row in insertion order: its prototype columns with weight 1, then its
     # extras. An extra on a prototype column adds to it and leaves 0 in its slot.
-    protos = protos[labels]
-    cols = np.concatenate([protos, extra_idx], axis=1)
-    W = np.concatenate([np.ones(protos.shape), extra_w], axis=1)
-    rows, hit, at = np.nonzero(extra_idx[:, :, None] == protos[:, None, :])
+    width = proto_size + noise_size
+    cols = np.empty((n, width), dtype=np.int64)
+    cols[:, :proto_size] = protos.reshape(k, proto_size)[labels]
+    cols[:, proto_size:] = extra_idx
+    W = np.ones((n, width))
+    W[:, proto_size:] = extra_w
+    # The prototype blocks are disjoint, so one table over the columns holds
+    # each prototype column's class and slot, c * proto_size + slot, and -1
+    # elsewhere. An extra hits its row's prototype where that, less the row's
+    # label * proto_size, is a slot. Extras are distinct within a row, so the
+    # (row, extra) pairs come in the order of the row's extras.
+    place = np.full(dims, -1)
+    place[protos] = np.arange(k * proto_size)
+    at = place[extra_idx]
+    del place, extra_idx
+    at -= labels[:, None] * proto_size
+    rows, hit = np.nonzero((at >= 0) & (at < proto_size))
+    at = at[rows, hit]
     W[rows, at] += extra_w[rows, hit]
     W[rows, proto_size + hit] = 0.0
+    del extra_w, rows, hit, at
     sq = np.zeros(n)
     for col in W.T:  # left to right, as a Python sum of the squares; a 0 adds nothing
         sq += col * col
-    order = np.argsort(cols, axis=1)
-    cols, W = np.take_along_axis(cols, order, 1), np.take_along_axis(W, order, 1)
-    keep = W > 0
-    counts = keep.sum(axis=1)
-    data = W[keep] / np.repeat(np.sqrt(sq), counts)
-    X = sp.csr_matrix((data, cols[keep], np.append(0, np.cumsum(counts))), shape=(n, dims))
-    return Dataset(
-        examples=tuple(Example(id=f"synth-{i}", text="") for i in range(n)),
-        k=k,
-        clean_labels=labels.astype(np.int64),
-        X=X,
+    kept = W > 0
+    counts = np.count_nonzero(kept, axis=1)
+    norms = np.sqrt(sq)
+    norms[sq == 0] = 1.0  # a row of zeros keeps no entry; 1 spares it 0 / 0
+    W /= norms[:, None]
+    # Each row's kept entries in column order, as flat positions in the raveled arrays.
+    flat = np.argsort(cols, axis=1)
+    flat += (np.arange(n) * width)[:, None]
+    flat = flat.ravel()
+    flat = flat[kept.ravel()[flat]]
+    del kept
+    X = sp.csr_matrix(
+        (W.ravel()[flat], cols.ravel()[flat], np.append(0, np.cumsum(counts))), shape=(n, dims)
     )
+    ids = np.array([f"synth-{i}" for i in range(n)], dtype=object)
+    return Dataset(ids=ids, texts=None, k=k, clean_labels=labels, X=X)
 
 
 def _noise_draws(rng: np.random.Generator, n: int, dims: int, size: int):

@@ -155,8 +155,9 @@ def inject_rules(ds: Dataset, rules: RuleSet) -> Dataset:
 
     Matching is case-insensitive whole-token, first rule wins. Examples where
     no rule fires keep their clean label when abstain_to_clean, else they are
-    dropped. The induced noise is feature-dependent by construction. An
-    example without text (a synthetic one) is rejected.
+    dropped. The induced noise is feature-dependent by construction. A
+    synthetic dataset, which has no text, and an example with empty text are
+    rejected.
     """
     if not rules.rules:
         raise ConfigError("empty rule set")
@@ -168,10 +169,10 @@ def inject_rules(ds: Dataset, rules: RuleSet) -> Dataset:
     keywords = [(kw.lower(), c) for kw, c in rules.rules]
     noisy = []
     keep = []
-    for i, ex in enumerate(ds.examples):
-        if not ex.text:
-            raise ConfigError(f"rule noise needs text; example {ex.id!r} has none")
-        toks = set(tokenize(ex.text))
+    for i, text in enumerate(ds.text_list()):
+        if not text:
+            raise ConfigError(f"rule noise needs text; example {ds.ids[i]!r} has none")
+        toks = set(tokenize(text))
         for kw, c in keywords:
             if kw in toks:
                 noisy.append(c)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import noisylab as nl
-from noisylab.data import Dataset, Example
+from noisylab.data import Dataset
 from noisylab.model import _forward_batch
 
 
@@ -15,7 +15,7 @@ def keyword_corpus(k=4, n=3000, ambiguous_frac=0.3, words_per_class=40, seed=0):
     mislabel exactly those examples (feature-dependent noise)."""
     rng = np.random.default_rng(seed)
     labels = rng.permuted(np.arange(n) % k)
-    examples = []
+    texts = []
     for i in range(n):
         y = int(labels[i])
         z = (y + 1) % k
@@ -28,8 +28,9 @@ def keyword_corpus(k=4, n=3000, ambiguous_frac=0.3, words_per_class=40, seed=0):
             if rng.random() < 0.5:
                 toks.append(f"c{y}w0")
         rng.shuffle(toks)
-        examples.append(Example(id=f"kw-{i}", text=" ".join(toks)))
-    return Dataset(examples=tuple(examples), k=k, clean_labels=labels.astype(np.int64))
+        texts.append(" ".join(toks))
+    ids = [f"kw-{i}" for i in range(n)]
+    return Dataset(ids=ids, texts=texts, k=k, clean_labels=labels.astype(np.int64))
 
 
 def keyword_rules(k=4):

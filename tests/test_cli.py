@@ -119,6 +119,7 @@ _NAMED_IN_MESSAGE = {
     "lam_1e308": "run nmwr/trial_0 failed: invalid value encountered",
     "rule_keyword_null": "keyword.jsonl: line 1: keyword must be a string, got null",
     "hidden_2^56": "run: train: hidden=72057594037927936 with dims=256 needs an array too large",
+    "synth_with_rules": "a synthetic dataset has no text",
 }
 
 
@@ -411,6 +412,8 @@ class TestRun:
             *[(lambda c, kw=kw: _rules_on_text(c, rules=_beside(
                 c, "keyword.jsonl", f'{{"keyword": {kw}, "class": 1}}\n')), 2) for kw in _BAD_KEYWORDS.values()],
             (lambda c: "a: " + _DEEP, 2),  # raw text: yaml.safe_dump recurses too
+            (lambda c: c.update(noise={"type": "rules", "rules": _beside(
+                c, "rules.jsonl", '{"keyword": "word1", "class": 1}\n')}), 2),
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
@@ -430,7 +433,8 @@ class TestRun:
              "rule_keyword_two_tokens", "synth_k_0", "synth_k_-1",
              *[f"synth_{name}" for name in _OVERSIZED], "synth_n_2^63-1", "hidden_2^40",
              "hidden_2^56", "hidden_2^63", "hidden_1e308", "featurize_dims_0", "featurize_dims_2^62",
-             "featurize_dims_1e308", *[f"rule_keyword_{name}" for name in _BAD_KEYWORDS], "yaml_nested_deep"],
+             "featurize_dims_1e308", *[f"rule_keyword_{name}" for name in _BAD_KEYWORDS], "yaml_nested_deep",
+             "synth_with_rules"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, request, edit, code):
         """``edit`` changes the config in place, or returns the config file's text."""

@@ -100,7 +100,8 @@ def _assert_same_bytes(got, ref):
 
 def _corpus(texts):
     return nl.Dataset(
-        examples=tuple(nl.Example(id=str(i), text=t) for i, t in enumerate(texts)),
+        ids=[str(i) for i in range(len(texts))],
+        texts=texts,
         k=2,
         clean_labels=np.zeros(len(texts), dtype=np.int64),
     )
@@ -162,9 +163,9 @@ class TestLoadJsonl:
 
     def test_round_trip_both_labels(self, tmp_path):
         rng = np.random.default_rng(0)
-        examples = tuple(nl.Example(id=f"e{i}", text=f"word{i} word{i+1}") for i in range(10))
         ds = nl.Dataset(
-            examples=examples,
+            ids=[f"e{i}" for i in range(10)],
+            texts=[f"word{i} word{i+1}" for i in range(10)],
             k=4,
             clean_labels=rng.integers(0, 4, 10),
             noisy_labels=rng.integers(0, 4, 10),
@@ -172,14 +173,14 @@ class TestLoadJsonl:
         path = tmp_path / "rt.jsonl"
         nl.write_jsonl(ds, path)
         back = nl.load_jsonl(path, k=4)
-        assert [e.id for e in back.examples] == [e.id for e in ds.examples]
-        assert [e.text for e in back.examples] == [e.text for e in ds.examples]
+        assert back.ids.tolist() == ds.ids.tolist()
+        assert back.texts.tolist() == ds.texts.tolist()
         assert np.array_equal(back.clean_labels, ds.clean_labels)
         assert np.array_equal(back.noisy_labels, ds.noisy_labels)
 
     def test_writer_key_order(self, tmp_path):
         ds = nl.Dataset(
-            examples=(nl.Example(id="a", text="t"),),
+            ids=["a"], texts=["t"],
             k=2,
             clean_labels=np.array([0]),
             noisy_labels=np.array([1]),
@@ -200,7 +201,7 @@ class TestSplit:
         a = nl.split(ds, seed=1)
         b = nl.split(ds, seed=1)
         for x, y in zip(a, b):
-            assert [e.id for e in x.examples] == [e.id for e in y.examples]
+            assert x.ids.tolist() == y.ids.tolist()
 
     def test_remainder_to_train(self):
         ds = nl.synth_dataset(k=2, n=109, margin=1.0, seed=0)
@@ -225,13 +226,13 @@ class TestSplit:
     def test_partition_property(self, seed):
         ds = nl.synth_dataset(k=3, n=47, margin=0.9, seed=9)
         parts = nl.split(ds, 0.7, 0.2, 0.1, seed=seed)
-        ids = [e.id for p in parts for e in p.examples]
-        assert sorted(ids) == sorted(e.id for e in ds.examples)
-        # labels travel with examples
+        ids = [i for p in parts for i in p.ids.tolist()]
+        assert sorted(ids) == sorted(ds.ids.tolist())
+        # labels and feature rows travel with their ids
         for p in parts:
-            for i, ex in enumerate(p.examples):
-                orig = int(ex.id.split("-")[1])
-                assert p.clean_labels[i] == ds.clean_labels[orig]
+            orig = [int(i.split("-")[1]) for i in p.ids.tolist()]
+            assert np.array_equal(p.clean_labels, ds.clean_labels[orig])
+            assert _same_csr(p.X, ds.X[orig])
 
 
 class TestFnv1a64:
@@ -275,7 +276,7 @@ class TestFeaturize:
 
     def test_deterministic(self):
         ds = nl.Dataset(
-            examples=(nl.Example(id="a", text="Hello noisy world"),),
+            ids=["a"], texts=["Hello noisy world"],
             k=2,
             clean_labels=np.array([0]),
         )
@@ -285,7 +286,7 @@ class TestFeaturize:
 
     def test_l2_norm(self):
         ds = nl.Dataset(
-            examples=(nl.Example(id="a", text="a b c a b a"),),
+            ids=["a"], texts=["a b c a b a"],
             k=2,
             clean_labels=np.array([0]),
         )
@@ -301,7 +302,7 @@ class TestFeaturize:
         idx_ba = set((fnv1a_64(grams_ba) & np.uint64(dims - 1)).tolist())
         assert idx_ab != idx_ba
         ds = nl.Dataset(
-            examples=(nl.Example(id="x", text="a b"), nl.Example(id="y", text="b a")),
+            ids=["x", "y"], texts=["a b", "b a"],
             k=2,
             clean_labels=np.array([0, 1]),
         )
@@ -313,7 +314,7 @@ class TestFeaturize:
 
     def test_dims_power_of_two(self):
         ds = nl.Dataset(
-            examples=(nl.Example(id="a", text="t"),), k=2, clean_labels=np.array([0])
+            ids=["a"], texts=["t"], k=2, clean_labels=np.array([0])
         )
         with pytest.raises(ConfigError):
             nl.featurize(ds, 1000)
@@ -328,7 +329,7 @@ class TestFeaturize:
         if not tokenize(text):
             return
         ds = nl.Dataset(
-            examples=(nl.Example(id="a", text=text),), k=2, clean_labels=np.array([0])
+            ids=["a"], texts=[text], k=2, clean_labels=np.array([0])
         )
         assert _row(nl.featurize(ds, 128).X) == _row(nl.featurize(ds, 128).X)
 
@@ -340,7 +341,8 @@ class TestFeaturize:
     def test_subset_commutes_with_featurize(self, texts, data):
         # what makes featurizing once, before the split, safe
         ds = nl.Dataset(
-            examples=tuple(nl.Example(id=str(i), text=t) for i, t in enumerate(texts)),
+            ids=[str(i) for i in range(len(texts))],
+            texts=texts,
             k=2,
             clean_labels=np.zeros(len(texts), dtype=np.int64),
         )
@@ -351,12 +353,12 @@ class TestFeaturize:
 
     def test_wrong_row_count(self):
         X = nl.featurize(
-            nl.Dataset(examples=(nl.Example(id="a", text="t"),), k=2, clean_labels=np.array([0])),
+            nl.Dataset(ids=["a"], texts=["t"], k=2, clean_labels=np.array([0])),
             64,
         ).X
         with pytest.raises(ConfigError, match="X has 1 rows, expected 2"):
             nl.Dataset(
-                examples=(nl.Example(id="a", text="t"), nl.Example(id="b", text="u")),
+                ids=["a", "b"], texts=["t", "u"],
                 k=2,
                 clean_labels=np.array([0, 1]),
                 X=X,
@@ -365,7 +367,7 @@ class TestFeaturize:
     @pytest.mark.parametrize("k", [2**31, 2**63])
     def test_k_past_any_noise_matrix(self, k):
         with pytest.raises(ConfigError, match=f"k={k} is too large for a k x k noise matrix"):
-            nl.Dataset(examples=(), k=k, clean_labels=np.array([], dtype=np.int64))
+            nl.Dataset(ids=[], texts=[], k=k, clean_labels=np.array([], dtype=np.int64))
 
     @pytest.mark.parametrize("dims, expected", [(0, "featurize_dims must be a power of two, got 0"),
                                                 (2**62, f"featurize_dims {2**62} is too wide for 2 examples")],
@@ -382,7 +384,8 @@ class TestCompactColumns:
     @settings(max_examples=50, deadline=None)
     def test_maps_back_to_the_hashed_columns(self, texts):
         ds = nl.Dataset(
-            examples=tuple(nl.Example(id=str(i), text=t) for i, t in enumerate(texts)),
+            ids=[str(i) for i in range(len(texts))],
+            texts=texts,
             k=2,
             clean_labels=np.zeros(len(texts), dtype=np.int64),
         )
@@ -418,6 +421,8 @@ class TestSynthDataset:
     @example(args=dict(k=2, n=30, margin=0.5, seed=3, dims=16, proto_size=4, noise_size=16))
     @example(args=dict(k=2, n=5, margin=0.5, seed=0, dims=12000, noise_size=300))  # a tail shuffle
     @example(args=dict(k=2, n=100, margin=0.5, seed=261, dims=10000))  # seed 261: Lemire rejects
+    @example(args=dict(k=3, n=40, margin=0.5, seed=7, dims=64, proto_size=0))  # no prototype columns
+    @example(args=dict(k=3, n=40, margin=0.5, seed=7, dims=128, noise_size=0))  # no extras
     @settings(max_examples=100, deadline=None)
     def test_equals_the_dict_reference(self, args):
         ds = nl.synth_dataset(**args)
@@ -436,6 +441,31 @@ class TestSynthDataset:
     def test_rejects_bad_sizes(self, kwargs, expected):
         with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
             nl.synth_dataset(k=4, n=50, margin=0.7, seed=0, **kwargs)
+
+    def test_builds_no_example_until_read(self, monkeypatch):
+        init, calls = nl.Example.__init__, []
+        monkeypatch.setattr(nl.Example, "__init__", lambda self, *a, **kw: calls.append(a) or init(self, *a, **kw))
+        train = nl.split(nl.synth_dataset(k=3, n=60, margin=0.7, seed=11), seed=1)[0]
+        view = train.examples
+        assert calls == [] and len(view) == 48
+        assert [ex.id for ex in view] == train.ids.tolist()
+        assert len(calls) == 48
+        assert view[-1] == nl.Example(train.ids[-1], "")
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda ds, path: nl.featurize(ds, 64),
+            lambda ds, path: nl.write_jsonl(ds, path),
+            lambda ds, path: nl.inject_rules(ds, nl.RuleSet(rules=(("a", 1),))),
+        ],
+        ids=["featurize", "write_jsonl", "inject_rules"],
+    )
+    def test_has_no_text(self, tmp_path, op):
+        ds = nl.synth_dataset(k=2, n=10, margin=0.5, seed=0)
+        with pytest.raises(ConfigError, match="^a synthetic dataset has no text$"):
+            op(ds, tmp_path / "out.jsonl")
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_separable_at_margin_one(self):
         ds = nl.synth_dataset(k=2, n=100, margin=1.0, seed=3)

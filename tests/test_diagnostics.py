@@ -32,9 +32,9 @@ class TestSnapshotLosses:
         n, k = 16, 2
         rng = np.random.default_rng(33)
         clean = rng.integers(0, k, n)
-        examples = tuple(nl.Example(id=str(i), text="") for i in range(n))
         ds = nl.Dataset(
-            examples=examples, k=k, clean_labels=clean, X=sp.identity(n, format="csr")
+            ids=[str(i) for i in range(n)], texts=None, k=k, clean_labels=clean,
+            X=sp.identity(n, format="csr"),
         )
         ds = with_noise(ds, 0.3, seed=34)
         w = np.zeros((n, k))

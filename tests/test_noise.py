@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisylab as nl
-from noisylab.data import Dataset, Example
+from noisylab.data import Dataset
 from noisylab.errors import ConfigError, ParseError
 
 
@@ -120,7 +120,8 @@ class TestInject:
 class TestInjectRules:
     def _corpus(self, texts, labels, k=3):
         return Dataset(
-            examples=tuple(Example(id=str(i), text=t) for i, t in enumerate(texts)),
+            ids=[str(i) for i in range(len(texts))],
+            texts=texts,
             k=k,
             clean_labels=np.array(labels),
         )
@@ -142,7 +143,7 @@ class TestInjectRules:
         rules = nl.RuleSet(rules=(("lagos", 2),), abstain_to_clean=False)
         out = nl.inject_rules(ds, rules)
         assert len(out) == 1
-        assert out.examples[0].id == "0"
+        assert out.ids.tolist() == ["0"]
 
     def test_first_match_wins_whole_token(self):
         ds = self._corpus(["abuja lagos"], [0])
