@@ -34,7 +34,6 @@ from .strategies import (
     Strategy,
     Vanilla,
     coteach_select,
-    keep_fraction,
 )
 from .trainer import RunRecord, TrainConfig, train
 from .diagnostics import LossSnapshot, RocCurve, histogram, roc, snapshot_losses
@@ -68,7 +67,6 @@ __all__ = [
     "Strategy",
     "Vanilla",
     "coteach_select",
-    "keep_fraction",
     "RunRecord",
     "TrainConfig",
     "train",

@@ -36,8 +36,9 @@ EXIT_DEGENERATE = 3
 
 FAILURE_MARKER = "FAILED"
 
-# Each noise type's own keys, besides type and seed; the first is required.
-_NOISE_KEYS = {"uniform": ("level",), "sflip": ("level",), "matrix": ("matrix",),
+# Each noise type's own keys, besides type; the first is required. Rule noise
+# draws nothing, so it takes no seed.
+_NOISE_KEYS = {"uniform": ("level", "seed"), "sflip": ("level", "seed"), "matrix": ("matrix", "seed"),
                "rules": ("rules", "abstain_to_clean")}
 _FAMILIES = {"uniform": noise_mod.uniform_matrix, "sflip": noise_mod.single_flip_matrix}
 
@@ -135,18 +136,15 @@ def _build_dataset(cfg: dict):
 def _noise_from_config(noise):
     """Check a noise block and read its file. Returns ``corrupt(ds, offset=0)
     -> (ds, T)``, which draws noisy labels for ``ds`` seeded with the block's
-    seed plus ``offset``. Rule noise may drop examples, and its T is the
-    empirical matrix of the pairs it produced."""
+    seed plus ``offset``. Rule noise draws nothing and may drop examples, and
+    its T is the empirical matrix of the pairs it produced."""
     if not isinstance(noise, dict):
         raise ConfigError("noise must be a mapping")
     kind = noise.get("type")
     if not isinstance(kind, str) or kind not in _NOISE_KEYS:
         raise ConfigError(f"unknown noise type {kind!r}")
     keys = _NOISE_KEYS[kind]
-    _check_keys(noise, ("type", "seed", *keys), "noise", keys[:1])
-    seed = _typed(noise.get("seed", 0), int, "noise: seed")
-    if seed < 0:
-        raise ConfigError(f"noise: seed must be non-negative, got {seed}")
+    _check_keys(noise, ("type", *keys), "noise", keys[:1])
     if kind == "rules":
         abstain = _typed(noise.get("abstain_to_clean", True), bool, "noise: abstain_to_clean")
         rules = noise_mod.RuleSet.load_jsonl(_typed(noise["rules"], str, "noise: rules"), abstain)
@@ -157,6 +155,9 @@ def _noise_from_config(noise):
                 raise ConfigError("rule noise matched nothing in a split and abstain_to_clean is false")
             return ds, noise_mod.matrix_from_pairs(ds.clean_labels, ds.noisy_labels, ds.k)
         return corrupt
+    seed = _typed(noise.get("seed", 0), int, "noise: seed")
+    if seed < 0:
+        raise ConfigError(f"noise: seed must be non-negative, got {seed}")
     if kind == "matrix":
         T = noise_mod.TransitionMatrix.load_csv(_typed(noise["matrix"], str, "noise: matrix"))
         matrix = lambda k: T
@@ -205,21 +206,23 @@ def _build_strategy(s_cfg, true_T, realized_fdr: float):
 
 
 def cmd_inject(args) -> int:
-    flags = {f: getattr(args, f) for f in ("level", "matrix", "rules")}
+    flags = {f: getattr(args, f) for f in ("level", "matrix", "rules", "seed")}
     given = {f: value for f, value in flags.items() if value is not None}
-    needs = _NOISE_KEYS[args.type][0]
+    keys = _NOISE_KEYS[args.type]
     try:  # usage errors, found before any file is read
-        if set(given) != {needs}:
-            raise ConfigError(f"--type {args.type} takes exactly --{needs}")
+        if set(given) - {"seed"} != {keys[0]}:
+            raise ConfigError(f"--type {args.type} takes exactly --{keys[0]}")
         if args.level is not None:
             noise_mod.check_level(args.level)
+        if args.seed is not None and "seed" not in keys:
+            raise ConfigError(f"--type {args.type} draws nothing and takes no --seed, got {args.seed}")
     except ConfigError as e:
         print(f"inject: {e}", file=sys.stderr)
         return EXIT_USAGE
     ds = data_mod.load_jsonl(args.input, args.k)
     if ds.clean_labels is None:
         raise ConfigError("input has no clean_label field")
-    out, T = _noise_from_config(dict(given, type=args.type, seed=args.seed))(ds)
+    out, T = _noise_from_config(dict(given, type=args.type))(ds)
     data_mod.write_jsonl(out, args.output)
     realized = noise_mod.fdr(out.clean_labels, out.noisy_labels)
     print(f"fdr: {realized:.4f}")
@@ -376,8 +379,8 @@ def cmd_diagnose(args) -> int:
     except ConfigError as e:
         raise ParseError(f"{path}: {e}") from None
     summary = _read_summary(run_dir / "summary.json", _DIAGNOSE_FIELDS)
+    curve = diag_mod.roc(snap)  # a degenerate ROC fails before any CSV is written
     diag_mod.write_histogram_csv(snap, run_dir / "histogram.csv", bins=args.bins)
-    curve = diag_mod.roc(snap)
     diag_mod.write_roc_csv(curve, run_dir / "roc.csv")
     diag_mod.write_report_csv([dict(summary, auc=curve.auc)], run_dir / "report.csv")
     return EXIT_OK
@@ -412,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float)
     p.add_argument("--matrix")
     p.add_argument("--rules")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_at_least(0), help="uniform, sflip and matrix only (default 0)")
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("run", help="run a strategy sweep from a config file")

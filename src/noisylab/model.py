@@ -53,20 +53,18 @@ def init_params(
     rng = np.random.default_rng(seed)
     arrays = []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
-        if rows is not None and not arrays:  # the first layer's weights
-            arrays.append(_uniform_rows(rng, rows, fan_in, fan_out))
-        else:
-            arrays.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(fan_in, fan_out)))
+        arrays.append(_uniform_rows(rng, None if arrays else rows, fan_in, fan_out))  # rows pick w1's only
         arrays.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=fan_out))
     return Params(*arrays)
 
 
 def _uniform_rows(rng, rows, dims: int, width: int) -> np.ndarray:
-    """Rows ``rows`` of ``rng.uniform(size=(dims, width))``, leaving ``rng``
-    where that draw would. A double takes one 64-bit output, so each run of
-    consecutive rows is one draw after advancing the generator past the rows
-    before it. The draws are scaled as ``uniform`` scales them, in place."""
-    rows = np.asarray(rows, dtype=np.int64)
+    """Rows ``rows`` (all rows when None) of ``rng.uniform(size=(dims,
+    width))``, leaving ``rng`` where that draw would. A double takes one
+    64-bit output, so each run of consecutive rows is one draw after advancing
+    the generator past the rows before it. The draws are scaled as ``uniform``
+    scales them, in place."""
+    rows = np.arange(dims) if rows is None else np.asarray(rows, dtype=np.int64)
     if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or np.any((rows < 0) | (rows >= dims)):
         raise ConfigError(f"rows must be ascending indices in [0,{dims})")
     begins = np.diff(rows, prepend=-2) != 1  # the rows that begin a run

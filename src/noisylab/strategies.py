@@ -75,6 +75,10 @@ class CoTeaching:
     def loss(self, k: int):
         return CrossEntropy()
 
+    def keep_fraction(self, epoch: int) -> float:
+        """The share of each batch kept at ``epoch``: R(T) = 1 - eps * min(T / ramp_epochs, 1)."""
+        return 1.0 - self.eps * min(epoch / self.ramp_epochs, 1.0)
+
 
 @dataclass(frozen=True)
 class LabelSmoothing:
@@ -151,13 +155,6 @@ def project_rows_to_simplex(V: np.ndarray) -> np.ndarray:
     rho = np.count_nonzero(U * np.arange(1, V.shape[1] + 1) > css, axis=1)
     theta = css[np.arange(len(V)), rho - 1] / rho
     return np.maximum(V - theta[:, None], 0.0)
-
-
-def keep_fraction(epoch: int, eps: float, ramp_epochs: int) -> float:
-    """Co-teaching keep schedule: linear ramp from 1 down to 1 - eps."""
-    if ramp_epochs < 1:
-        raise ConfigError("ramp_epochs must be positive")
-    return 1.0 - eps * min(epoch / ramp_epochs, 1.0)
 
 
 def coteach_select(losses_a, losses_b, frac: float):

@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset, feature_matrix
 from .errors import ConfigError
 from .model import ARCHS, CSRArrays, Params, _forward_batch, _take_rows, accuracy, init_params, step
-from .strategies import CoTeaching, NoValidation, Strategy, coteach_select, keep_fraction
+from .strategies import CoTeaching, NoValidation, Strategy, coteach_select
 
 
 @dataclass(frozen=True)
@@ -143,34 +143,30 @@ def train(
 
     record = RunRecord()
     losses: list[float] = []  # the mean batch loss of every step
-    best_acc = -1.0
     # NoValidation reports its final parameters; the others copy the best seen.
     best_params = params
-    evals_since_best = 0
 
     def run_eval():
-        nonlocal best_acc, best_params, evals_since_best
+        nonlocal best_params
         val_acc = accuracy(params, Xval, val_labels)
         test_acc = accuracy(params, Xte, test_labels)
         since = losses[record.entries[-1].step if record.entries else 0 :]
         train_loss = float(np.mean(since)) if since else math.nan
+        best = no_validation or all(val_acc > e.val_acc for e in record.entries)
         record.entries.append(EvalEntry(len(losses), train_loss, val_acc, test_acc))
-        if no_validation:  # its last evaluation is its best
+        if best:  # NoValidation's last evaluation is its best
             record.best_step = len(losses)
-        elif val_acc > best_acc:
-            best_acc = val_acc
-            best_params = params.copy()
-            record.best_step = len(losses)
-            evals_since_best = 0
-        else:
-            evals_since_best += 1
+            best_params = params if no_validation else params.copy()
+
+    def stalled() -> bool:  # patience evaluations follow the best one
+        return sum(e.step > record.best_step for e in record.entries) >= cfg.patience
 
     per_epoch = -(-n // cfg.batch_size)  # steps
     for epoch in range(cfg.max_epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         Xe, ye = _take_rows(Xtr, order), ytr[order]
         if coteach:
-            frac = keep_fraction(epoch, strategy.eps, strategy.ramp_epochs)
+            frac = strategy.keep_fraction(epoch)
         for start in range(0, n, cfg.batch_size):
             X = _row_slice(Xe, start, start + cfg.batch_size)
             y = ye[start : start + cfg.batch_size]
@@ -188,9 +184,9 @@ def train(
                 losses.append(step(params, X, y, cfg.lr, loss_fn))
             if len(losses) % cfg.eval_every == 0:
                 run_eval()
-                if evals_since_best >= cfg.patience:
+                if stalled():
                     break
-        if evals_since_best >= cfg.patience:
+        if stalled():
             break
         if no_validation and epoch >= 2:  # converged: the epoch mean gained under tol twice
             a, b, c = (np.mean(losses[e * per_epoch : (e + 1) * per_epoch])

@@ -120,6 +120,7 @@ _NAMED_IN_MESSAGE = {
     "rule_keyword_null": "keyword.jsonl: line 1: keyword must be a string, got null",
     "hidden_2^56": "run: train: hidden=72057594037927936 with dims=256 needs an array too large",
     "synth_with_rules": "a synthetic dataset has no text",
+    "rules_seed_3": "run: unknown keys in noise: ['seed']",
 }
 
 
@@ -285,8 +286,10 @@ class TestInject:
             (["--type", "rules", "--rules", "r.jsonl", "--k", "1"], "inject: argument --k:"),
             (["--k", "4", "--type", "matrix", "--matrix", "T.csv", "--seed", "-1"],
              "inject: argument --seed:"),
+            (["--k", "4", "--type", "rules", "--rules", "r.jsonl", "--seed", "1"],
+             "inject: --type rules draws nothing and takes no --seed"),
         ],
-        ids=["level_nan", "k_1", "rules_k_1", "matrix_seed_-1"],
+        ids=["level_nan", "k_1", "rules_k_1", "matrix_seed_-1", "rules_seed_1"],
     )
     def test_bad_flag_value_usage_error_before_reading_files(self, tmp_path, capsys, flags, expected):
         """The input, rules and matrix files do not exist: no file is read."""
@@ -414,6 +417,7 @@ class TestRun:
             (lambda c: "a: " + _DEEP, 2),  # raw text: yaml.safe_dump recurses too
             (lambda c: c.update(noise={"type": "rules", "rules": _beside(
                 c, "rules.jsonl", '{"keyword": "word1", "class": 1}\n')}), 2),
+            (lambda c: _rules_on_text(c, seed=3), 2),
         ],
         ids=["noise_without_level", "batch_size_0", "alpha_1.5", "lambda_key",
              "missing_matrix_csv", "lr_5e-1", "level_1.5", "synth_dims_64",
@@ -434,7 +438,7 @@ class TestRun:
              *[f"synth_{name}" for name in _OVERSIZED], "synth_n_2^63-1", "hidden_2^40",
              "hidden_2^56", "hidden_2^63", "hidden_1e308", "featurize_dims_0", "featurize_dims_2^62",
              "featurize_dims_1e308", *[f"rule_keyword_{name}" for name in _BAD_KEYWORDS], "yaml_nested_deep",
-             "synth_with_rules"],
+             "synth_with_rules", "rules_seed_3"],
     )
     def test_config_exit_code_without_traceback(self, tmp_path, request, edit, code):
         """``edit`` changes the config in place, or returns the config file's text."""
@@ -658,8 +662,9 @@ class TestDiagnose:
         cfg["trials"] = 1
         cfg_path = _write_config(tmp_path, cfg)
         assert main(["run", str(cfg_path)]) == 0
-        code = main(["diagnose", str(tmp_path / "out" / "vanilla" / "trial_0")])
-        assert code == 3
+        run_dir = tmp_path / "out" / "vanilla" / "trial_0"
+        assert main(["diagnose", str(run_dir)]) == 3
+        assert not any((run_dir / name).exists() for name in ("histogram.csv", "roc.csv", "report.csv"))
 
 
 _SUMMARY = json.dumps(

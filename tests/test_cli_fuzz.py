@@ -8,6 +8,7 @@ import io
 import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 import yaml
@@ -25,8 +26,10 @@ _LOOP_VALUES = [v for v in _VALUES if v not in (2**63, 1e308)]
 _DELETE = object()
 
 
-def _config():
-    return {
+def _config(kind="synth", files=Path(".")):
+    """A run config over synthetic data, or over the text dataset in ``files``
+    under ``rules`` or ``matrix`` noise."""
+    cfg = {
         "dataset": {"synth": {"k": 3, "n": 60, "margin": 0.8, "seed": 1, "dims": 128}},
         "split": {"train": 0.6, "val": 0.2, "test": 0.2, "seed": 2},
         "noise": {"type": "uniform", "level": 0.3, "seed": 3},
@@ -36,7 +39,15 @@ def _config():
         "train": {"lr": 0.5, "batch_size": 16, "max_epochs": 2, "eval_every": 2, "patience": 2,
                   "seed": 4, "arch": "mlp", "hidden": 8},
         "trials": 1,
+        "output_dir": "out",  # under each example's working directory
     }
+    if kind != "synth":
+        cfg["dataset"] = {"path": str(files / "text.jsonl"), "k": 3, "featurize_dims": 256}
+    if kind == "rules":
+        cfg["noise"] = {"type": "rules", "rules": str(files / "rules.jsonl"), "abstain_to_clean": True}
+    elif kind == "matrix":
+        cfg["noise"] = {"type": "matrix", "matrix": str(files / "T.csv"), "seed": 3}
+    return cfg
 
 
 def _paths(node, prefix=()):
@@ -47,12 +58,12 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-_PATHS = list(_paths(_config()))
+_PATHS = {kind: list(_paths(_config(kind))) for kind in ("synth", "rules", "matrix")}
 
 
 @st.composite
-def _mutation(draw):
-    path = draw(st.sampled_from(_PATHS))
+def _mutation(draw, kind):
+    path = draw(st.sampled_from(_PATHS[kind]))
     values = _LOOP_VALUES if path[-1] in _LOOP_KEYS else _VALUES
     return path, draw(st.sampled_from([*values, _DELETE]))
 
@@ -87,24 +98,40 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+@pytest.fixture(scope="module")
+def text_files(tmp_path_factory):
+    """A small text dataset, its keyword rules and a noise matrix."""
+    root = tmp_path_factory.mktemp("text")
+    (root / "text.jsonl").write_text("".join(
+        json.dumps({"id": str(i), "text": f"word{i % 7} word{i % 5} word{i % 3}", "clean_label": i % 3}) + "\n"
+        for i in range(60)))
+    (root / "rules.jsonl").write_text('{"keyword": "word1", "class": 2}\n{"keyword": "word4", "class": 0}\n')
+    (root / "T.csv").write_text("0.8,0.1,0.1\n0.1,0.8,0.1\n0.1,0.1,0.8\n")
+    return root
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(mutations=st.lists(_mutation(), min_size=1, max_size=2))
-def test_mutated_config_exits_cleanly(workdir, mutations):
+@given(kind_mutations=st.sampled_from(list(_PATHS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.lists(_mutation(kind), min_size=1, max_size=2))))
+def test_mutated_config_exits_cleanly(workdir, text_files, monkeypatch, kind_mutations):
     """A run fails as a whole with exit 2 and one line, or runs and reports
-    one line per failed strategy and trial with exit 1."""
-    cfg = _config()
+    one line per failed strategy and trial with exit 1. Each example runs in
+    an empty working directory, where a relative ``output_dir`` lands."""
+    kind, mutations = kind_mutations
+    cfg = _config(kind, text_files)
     for path, value in mutations:
         _mutate(cfg, path, value)
-    out = workdir / "out"
-    shutil.rmtree(out, ignore_errors=True)
-    cfg["output_dir"] = str(out)
+    cwd = workdir / "cwd"
+    shutil.rmtree(cwd, ignore_errors=True)
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     path = workdir / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
     code, err = _main("run", path)
     assert code in (0, 1, 2), err
     if code == 1 and err and all(_FAILED_RUN.match(line) for line in err):
-        assert len(err) == len(list(out.rglob("FAILED")))
+        assert len(err) == len(list(cwd.rglob("FAILED")))
     else:  # exit 2, or 1 for a MemoryError: one line for the whole run
         assert len(err) == (code != 0) and all(line.startswith("run: ") for line in err), err
 

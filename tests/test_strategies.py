@@ -148,14 +148,14 @@ def test_projection_is_the_nearest_simplex_point(V, seed):
 
 class TestKeepFraction:
     def test_ramp_start(self):
-        assert nl.keep_fraction(0, 0.4, 5) == 1.0
+        assert nl.CoTeaching(eps=0.4, ramp_epochs=5).keep_fraction(0) == 1.0
 
     def test_plateau(self):
-        assert nl.keep_fraction(5, 0.4, 5) == pytest.approx(0.6)
-        assert nl.keep_fraction(50, 0.4, 5) == pytest.approx(0.6)
+        assert nl.CoTeaching(eps=0.4, ramp_epochs=5).keep_fraction(5) == pytest.approx(0.6)
+        assert nl.CoTeaching(eps=0.4, ramp_epochs=5).keep_fraction(50) == pytest.approx(0.6)
 
     def test_linear_midpoint(self):
-        assert nl.keep_fraction(2, 0.4, 4) == pytest.approx(0.8)
+        assert nl.CoTeaching(eps=0.4, ramp_epochs=4).keep_fraction(2) == pytest.approx(0.8)
 
 
 class TestCoteachSelect:

@@ -275,6 +275,15 @@ class TestBookkeeping:
         assert [e.step for e in rec.entries] == [5, 10, 15, 20]
         assert rec.best_step == 5 and rec.final_step == 20
 
+    def test_no_stall_before_the_first_evaluation(self, small_noisy_splits, monkeypatch):
+        tr, va, te = small_noisy_splits
+        _scripted(monkeypatch, [1.0] * 100 * self.PER_EPOCH)
+        # evaluations fall every 10 steps, so the first epoch ends with none
+        cfg = _cfg(batch_size=48, eval_every=10, patience=1, max_epochs=100)
+        rec, _, _ = nl.train(tr, va, te, nl.Vanilla(), cfg)
+        assert [e.step for e in rec.entries] == [10, 20]
+        assert rec.best_step == 10
+
 
 class TestValPolicy:
     def test_policies_agree_when_val_labels_agree(self):
